@@ -56,10 +56,10 @@ fn bench_checking(c: &mut Criterion) {
         let spec = TestGraphSpec::new(&program, test.mcm);
         group.throughput(Throughput::Elements(obs.len() as u64));
         group.bench_with_input(BenchmarkId::new("conventional", name), &obs, |b, obs| {
-            b.iter(|| check_conventional(&spec, obs));
+            b.iter(|| check_conventional(&spec, obs, None));
         });
         group.bench_with_input(BenchmarkId::new("collective", name), &obs, |b, obs| {
-            b.iter(|| check_collective(&spec, obs));
+            b.iter(|| check_collective(&spec, obs, false));
         });
     }
     group.finish();

@@ -45,9 +45,8 @@ fn bench_collect_under_budget(c: &mut Criterion) {
 }
 
 fn bench_streaming_check(c: &mut Criterion) {
-    // The streaming check path (budgeted, single-worker) against the
-    // materialized batch path (chunked, multi-worker): the two halves of
-    // the memory/latency trade the campaign picks between.
+    // Collect + check end to end, unbounded against a spill-per-entry
+    // budget: what the bounded store costs on top of the streaming check.
     let mut group = c.benchmark_group("spill/run_test");
     group.throughput(Throughput::Elements(ITERATIONS));
     group.sample_size(10);

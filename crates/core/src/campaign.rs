@@ -19,10 +19,8 @@ use crate::{CoverageTracker, SignatureLog};
 use mtc_analyze::{lint_program, LintAction, LintPolicy, LintReport};
 use mtc_gen::{generate, generate_suite, TestConfig};
 use mtc_graph::{
-    check_collective_chunked, check_collective_chunked_certified, check_collective_with_boundaries,
-    check_collective_with_boundaries_certified, check_conventional, even_chunk_lengths,
-    Certificate, CheckError, CheckOptions, CheckStats, CollectiveChecker, CollectiveStats,
-    TestGraphSpec, Violation,
+    check_conventional, Certificate, CheckOptions, CheckStats, CollectiveChecker, CollectiveStats,
+    DeltaObservations, ObservedEdges, TestGraphSpec, Violation,
 };
 use mtc_instr::{
     analyze, CodeSize, CodeSizeModel, EncodeError, ExecutionSignature, IntrusivenessReport,
@@ -32,6 +30,7 @@ use mtc_isa::Program;
 use mtc_sim::{SimError, Simulator, SystemConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -56,8 +55,8 @@ pub struct CampaignConfig {
     /// (Figure 9's baseline).
     pub compare_conventional: bool,
     /// Use the split-window collective checker (the beyond-the-paper
-    /// optimization; see `mtc_graph::check_collective_split`) instead of
-    /// the paper-faithful single window.
+    /// optimization; see `mtc_graph::CollectiveChecker::with_split_windows`)
+    /// instead of the paper-faithful single window.
     pub split_windows: bool,
     /// Run the configuration's tests on parallel host threads. Each test's
     /// simulation and checking are independent; results are identical to a
@@ -970,9 +969,9 @@ impl Campaign {
                     signature_index,
                     error: source.to_string(),
                 },
-                // A panicking chunk checker is contained by
-                // `CheckError::WorkerPanic` and classified like any other
-                // worker panic: retried, then quarantined.
+                // A panicking chunk checker is contained by the pool and
+                // classified like any other worker panic: retried, then
+                // quarantined.
                 Ok(Err(AttemptError::Check(CheckLogError::CheckerPanic { payload }))) => {
                     FailureCause::Panic { payload }
                 }
@@ -1381,6 +1380,8 @@ impl Campaign {
     /// a corrupt entry (bit-flipped transfer, truncated record) or a log
     /// that belongs to a different program. The supervisor classifies this
     /// as [`FailureCause::Decode`] and quarantines only the affected test.
+    /// [`CheckLogError::CheckerPanic`] when the checker panicked; the panic
+    /// does not unwind out of this call.
     pub fn check_log(&self, log: &SignatureLog) -> Result<TestReport, CheckLogError> {
         self.check_log_impl(log, true, Ids::test(0, 1), None)
     }
@@ -1420,8 +1421,8 @@ impl Campaign {
         // effective chunk count, which legitimately shifts the
         // complete/incremental split).
         let arts = ctx.filter(|c| c.sink.is_some() || c.cache.is_some());
-        let effective_chunks = if config.chunked_check && config.workers > 1 {
-            config.workers as u64
+        let chunks = if config.chunked_check && config.workers > 1 {
+            config.workers
         } else {
             1
         };
@@ -1434,7 +1435,7 @@ impl Campaign {
                 u8::from(config.check.intra_thread_rf),
                 u8::from(config.split_windows),
             ]);
-            h.write_u64(effective_chunks);
+            h.write_u64(chunks as u64);
             (schema_hash, h.finish())
         } else {
             (0, 0)
@@ -1516,335 +1517,61 @@ impl Campaign {
                 }
             }
         }
-        // Violating signatures' (index, FAIL certificate) pairs, collected
-        // on either check path below to memoize this sequence.
-        let mut violating: Vec<(u32, Vec<u8>)> = Vec::new();
-
         // Decode→observe fusion: candidate indices go straight to
-        // precomputed edge lists, so the per-signature hot loop never
+        // precomputed edge bundles, so the per-signature hot loop never
         // materializes a `ReadsFrom` map. Reads-from observations are
         // reconstructed (via the slow decode) only for the rare violating
         // signatures that need them in their diagnostic records.
-        let table = ObserveTable::build(program, &schema, &spec, &config.check);
-        let mut indices: Vec<u32> = Vec::new();
-        let mut raw_edges: Vec<(u32, u32)> = Vec::new();
-        let mut edge_scratch = mtc_graph::EdgeScratch::default();
-        // Checking modes that genuinely need the whole observation sequence
-        // at once: the conventional-checker comparison re-walks every graph,
-        // and chunked checking needs slice boundaries. Everything else
-        // streams below in O(test size) memory.
-        let materialize =
-            config.compare_conventional || (config.chunked_check && config.workers > 1);
-        if materialize {
-            let mut observations = Vec::with_capacity(log.signatures.len());
-            for (signature_index, (sig, _)) in log.signatures.iter().enumerate() {
-                let decode_started = scope.start();
-                schema.decode_indices(sig, &mut indices).map_err(|source| {
-                    CheckLogError::Decode {
-                        signature_index,
-                        source,
-                    }
-                })?;
-                scope.sample(Phase::Decode, decode_started);
-                table.extend_edges(&indices, &mut raw_edges);
-                let mut obs = mtc_graph::ObservedEdges::default();
-                obs.assign_from_raw_bucketed(&raw_edges, spec.num_vertices(), &mut edge_scratch);
-                observations.push(obs);
-            }
-            let check_started = scope.start();
-            let mut certs: Vec<Certificate> = Vec::new();
-            let collective = if config.chunked_check && config.workers > 1 {
-                if threaded {
-                    if arts.is_some() {
-                        let (outcome, witnesses) = check_collective_chunked_certified(
-                            &spec,
-                            &observations,
-                            config.workers,
-                            config.split_windows,
-                        )
-                        .map_err(
-                            |CheckError::WorkerPanic { payload }| CheckLogError::CheckerPanic {
-                                payload,
-                            },
-                        )?;
-                        certs = witnesses;
-                        outcome
-                    } else {
-                        check_collective_chunked(
-                            &spec,
-                            &observations,
-                            config.workers,
-                            config.split_windows,
-                        )
-                        .map_err(
-                            |CheckError::WorkerPanic { payload }| CheckLogError::CheckerPanic {
-                                payload,
-                            },
-                        )?
-                    }
-                } else {
-                    let lengths = even_chunk_lengths(observations.len(), config.workers);
-                    if arts.is_some() {
-                        let (outcome, witnesses) = check_collective_with_boundaries_certified(
-                            &spec,
-                            &observations,
-                            &lengths,
-                            config.split_windows,
-                        );
-                        certs = witnesses;
-                        outcome
-                    } else {
-                        check_collective_with_boundaries(
-                            &spec,
-                            &observations,
-                            &lengths,
-                            config.split_windows,
-                        )
-                    }
-                }
-            } else if arts.is_some() {
-                let mut results = Vec::with_capacity(observations.len());
-                let stats = mtc_graph::check_collective_iter_certified(
-                    &spec,
-                    &observations,
-                    config.split_windows,
-                    |_, result, cert| {
-                        results.push(result);
-                        certs.push(cert);
-                    },
-                );
-                mtc_graph::CollectiveOutcome { results, stats }
-            } else {
-                let mut results = Vec::with_capacity(observations.len());
-                let stats = mtc_graph::check_collective_iter(
-                    &spec,
-                    &observations,
-                    config.split_windows,
-                    |_, result| results.push(result),
-                );
-                mtc_graph::CollectiveOutcome { results, stats }
-            };
-            for (signature_index, ((sig, count), result)) in log
-                .signatures
-                .iter()
-                .zip(collective.results.iter())
-                .enumerate()
-            {
-                if let Some(c) = arts {
-                    let cert_bytes = certs[signature_index].to_bytes();
-                    if result.is_err() {
-                        violating.push((signature_index as u32, cert_bytes.clone()));
-                    }
-                    if let Some(sink) = c.sink {
-                        sink.record(
-                            c.test_index,
-                            schema_hash,
-                            sig.words(),
-                            result.is_err(),
-                            &cert_bytes,
-                        );
-                    }
-                    if let Some(cache) = c.cache {
-                        cache.note_sig(ctx_hash, sig.words(), result.is_err(), &cert_bytes);
-                    }
-                }
-                if let Err(violation) = result {
-                    report.violations.push(ViolationRecord {
-                        signature: sig.clone(),
-                        occurrences: *count,
-                        violation: Some(violation.clone()),
-                        reads_from: schema
-                            .decode(sig)
-                            .expect("signature already decoded via decode_indices"),
-                    });
-                }
-            }
-            scope.span(
-                Phase::Check,
-                check_started,
-                &[
-                    ("graphs", collective.stats.graphs as u64),
-                    ("incremental", collective.stats.incremental as u64),
-                    ("resorted_vertices", collective.stats.resorted_vertices),
-                ],
-            );
-            report.collective = collective.stats;
-            if config.compare_conventional {
-                report.conventional = Some(check_conventional(&spec, &observations).stats);
-            }
-        } else {
-            // Streaming path: decode, observe and check one signature at a
-            // time, retaining only the checker's windowed re-sort state and
-            // any violation records — never the full observation sequence.
-            // The checker is the same `CollectiveChecker` the batch entry
-            // points are built on, so verdicts and Figure-14 stats are
-            // identical by construction.
-            let mut checker = CollectiveChecker::new(&spec);
-            if config.split_windows {
-                checker = checker.with_split_windows();
-            }
-            let telemetry_on = self.telemetry.enabled();
-            let check_started = scope.start();
-            // Delta checking: ascending-signature neighbours differ in few
-            // load slots, and each slot contributes a fixed edge bundle —
-            // so instead of rebuilding the edge set per signature, patch
-            // the changed slots' bundles in and out of a refcounted set and
-            // let the checker consume the net diff directly.
-            let mut delta = mtc_graph::DeltaObservations::new(spec.num_vertices());
-            // Intern the distinct table edges in sorted order, then mirror
-            // the table's (slot, candidate) runs as dense-id bundles
-            // (self-loops dropped — they never contribute an edge). Sorted
-            // interning makes id order match edge order, so the merge-walk
-            // below compares ids directly; refcount updates become flat
-            // array ops instead of per-source scans.
-            let mut uniq: Vec<(u32, u32)> = table
-                .edges
-                .iter()
-                .copied()
-                .filter(|&(u, v)| u != v)
-                .collect();
-            uniq.sort_unstable();
-            uniq.dedup();
-            for &(u, v) in &uniq {
-                delta.intern(u, v);
-            }
-            let mut id_offsets: Vec<u32> = Vec::with_capacity(table.cand_offsets.len());
-            let mut ids: Vec<u32> = Vec::with_capacity(table.edges.len());
-            for at in 0..table.cand_offsets.len() - 1 {
-                id_offsets.push(ids.len() as u32);
-                let lo = table.cand_offsets[at] as usize;
-                let hi = table.cand_offsets[at + 1] as usize;
-                for &(u, v) in &table.edges[lo..hi] {
-                    if u != v {
-                        ids.push(delta.intern(u, v));
-                    }
-                }
-            }
-            id_offsets.push(ids.len() as u32);
-            let ids_for = |slot: usize, index: u32| -> &[u32] {
-                let at = table.slot_bases[slot] as usize + index as usize;
-                &ids[id_offsets[at] as usize..id_offsets[at + 1] as usize]
-            };
-            let mut changed: Vec<(u32, u32)> = Vec::new();
-            let mut prev_sig: Option<&mtc_instr::ExecutionSignature> = None;
-            for (signature_index, (sig, count)) in log.signatures.iter().enumerate() {
-                let decode_started = scope.start();
-                // Consecutive ascending signatures share most raw words, so
-                // after the first signature decode only the words that
-                // differ — the delta decode reports exactly the slots whose
-                // candidate index moved.
-                match prev_sig {
-                    Some(prev) => {
-                        schema.decode_indices_delta(sig, prev, &mut indices, &mut changed)
-                    }
-                    None => schema.decode_indices(sig, &mut indices),
-                }
-                .map_err(|source| CheckLogError::Decode {
-                    signature_index,
-                    source,
-                })?;
-                scope.sample(Phase::Decode, decode_started);
-                delta.begin();
-                if prev_sig.is_none() {
-                    for (slot, &index) in indices.iter().enumerate() {
-                        for &id in ids_for(slot, index) {
-                            delta.add_id(id);
-                        }
-                    }
-                } else {
-                    for &(slot, old) in &changed {
-                        let slot = slot as usize;
-                        // Bundles are sorted at table build; merge-walk them
-                        // so edges the old and new candidate share are never
-                        // touched (a remove+add of the same edge is a no-op).
-                        let olds = ids_for(slot, old);
-                        let news = ids_for(slot, indices[slot]);
-                        let (mut i, mut j) = (0, 0);
-                        while i < olds.len() && j < news.len() {
-                            match olds[i].cmp(&news[j]) {
-                                std::cmp::Ordering::Less => {
-                                    delta.remove_id(olds[i]);
-                                    i += 1;
-                                }
-                                std::cmp::Ordering::Greater => {
-                                    delta.add_id(news[j]);
-                                    j += 1;
-                                }
-                                std::cmp::Ordering::Equal => {
-                                    i += 1;
-                                    j += 1;
-                                }
-                            }
-                        }
-                        for &id in &olds[i..] {
-                            delta.remove_id(id);
-                        }
-                        for &id in &news[j..] {
-                            delta.add_id(id);
-                        }
-                    }
-                }
-                prev_sig = Some(sig);
-                let push_started = scope.start();
-                let incremental_before = if telemetry_on {
-                    checker.stats().incremental
-                } else {
-                    0
-                };
-                let push = checker.push_delta(&delta);
-                // A push that grew the incremental counter re-sorted part of
-                // the previous topological order — histogram it separately
-                // from the no-resort fast path (Figure 14's split).
-                if telemetry_on && checker.stats().incremental > incremental_before {
-                    scope.sample(Phase::Resort, push_started);
-                } else {
-                    scope.sample(Phase::Check, push_started);
-                }
-                if let Some(c) = arts {
-                    let cert_bytes = checker
-                        .last_certificate()
-                        .expect("a push always records a verdict")
-                        .to_bytes();
-                    if push.is_err() {
-                        violating.push((signature_index as u32, cert_bytes.clone()));
-                    }
-                    if let Some(sink) = c.sink {
-                        sink.record(
-                            c.test_index,
-                            schema_hash,
-                            sig.words(),
-                            push.is_err(),
-                            &cert_bytes,
-                        );
-                    }
-                    if let Some(cache) = c.cache {
-                        cache.note_sig(ctx_hash, sig.words(), push.is_err(), &cert_bytes);
-                    }
-                }
-                if let Err(violation) = push {
-                    report.violations.push(ViolationRecord {
-                        signature: sig.clone(),
-                        occurrences: *count,
-                        violation: Some(violation),
-                        reads_from: schema
-                            .decode(sig)
-                            .expect("signature already decoded via decode_indices"),
-                    });
-                }
-            }
-            report.collective = *checker.stats();
-            // Umbrella span for the whole streaming check; the per-push
-            // samples above already populated the histograms, so this is a
-            // trace record only (no double counting).
-            scope.span_only(
-                Phase::Check,
-                check_started,
-                &[
-                    ("graphs", report.collective.graphs as u64),
-                    ("incremental", report.collective.incremental as u64),
-                    ("resorted_vertices", report.collective.resorted_vertices),
-                ],
-            );
+        let (table, delta) = ObserveTable::build(program, &schema, &spec, &config.check);
+        let plan = CheckPlan {
+            signatures: &log.signatures,
+            schema: &schema,
+            spec: &spec,
+            table: &table,
+            split_windows: config.split_windows,
+            arts,
+            schema_hash,
+            ctx_hash,
+            telemetry: &self.telemetry,
+            ids,
+        };
+        // Chunked checking runs one fresh checker per contiguous chunk of
+        // the ascending sequence — the iteration shards' near-equal plan —
+        // on the worker pool. A chunk's panic is contained to this test,
+        // and the chunks merge in sequence order, so the report is the
+        // same threaded or serial.
+        let check_started = scope.start();
+        let runs = shard_ranges(log.signatures.len() as u64, chunks);
+        let width = if threaded { runs.len() } else { 1 };
+        // One delta set per run: clones of the interned set, except that
+        // the last run takes the original.
+        let deltas = std::iter::repeat_n(delta, runs.len());
+        let runs: Vec<_> = runs.into_iter().zip(deltas).collect();
+        // Violating signatures' (index, FAIL certificate) pairs, to memoize
+        // this sequence.
+        let mut violating: Vec<(u32, Vec<u8>)> = Vec::new();
+        for run in crate::pool::bounded_try_map(runs, width, |_, (run, delta)| {
+            plan.check_run(run.start as usize..run.end as usize, delta)
+        }) {
+            let run = run.map_err(|e| CheckLogError::CheckerPanic { payload: e.payload })??;
+            report.collective = report.collective.merge(&run.stats);
+            report.violations.extend(run.violations);
+            violating.extend(run.violating);
+        }
+        // Umbrella span for the whole check; the per-push samples already
+        // populated the histograms, so this is a trace record only (no
+        // double counting).
+        scope.span_only(
+            Phase::Check,
+            check_started,
+            &[
+                ("graphs", report.collective.graphs as u64),
+                ("incremental", report.collective.incremental as u64),
+                ("resorted_vertices", report.collective.resorted_vertices),
+            ],
+        );
+        if config.compare_conventional {
+            report.conventional = Some(plan.check_conventional()?);
         }
         // Memoize this sequence's freshly computed check phase so a repeat
         // campaign can skip it wholesale. Conventional-comparison runs are
@@ -1867,75 +1594,289 @@ impl Campaign {
 
 /// Precomputed decode→observe fusion table: for every signature load slot
 /// (in schema order) and every candidate value the slot can observe, the
-/// observed-edge list that choice contributes to the constraint graph.
+/// observed-edge bundle that choice contributes to the constraint graph.
 ///
 /// The per-(slot, candidate) edge set is fixed by the graph spec and the
 /// check options, so the per-signature hot loop reduces to an index decode
 /// ([`SignatureSchema::decode_indices`]) plus table lookups — no
 /// `ReadsFrom` map is ever materialized while checking.
 struct ObserveTable {
-    /// Index into `cand_offsets` of each slot's first candidate.
+    /// Index into `id_offsets` of each slot's first candidate.
     slot_bases: Vec<u32>,
-    /// Start of each (slot, candidate) edge run in `edges`, in build order,
-    /// with a final sentinel; runs are contiguous, so a run's end is the
-    /// next entry.
-    cand_offsets: Vec<u32>,
-    /// All per-candidate raw `(from, to)` edge bundles, concatenated.
+    /// Start of each (slot, candidate) bundle in `ids`, in build order,
+    /// with a final sentinel; bundles are contiguous, so a bundle's end is
+    /// the next entry.
+    id_offsets: Vec<u32>,
+    /// All bundles as ascending edge ids, concatenated (self-loops dropped
+    /// — they never contribute an edge).
+    ids: Vec<u32>,
+    /// The distinct edges, sorted: edge id `i` is `edges[i]`.
     edges: Vec<(u32, u32)>,
 }
 
 impl ObserveTable {
+    /// Builds the table, and the empty delta set its edge ids are interned
+    /// in: every distinct edge in sorted order, so id order matches edge
+    /// order.
     fn build(
         program: &Program,
         schema: &SignatureSchema,
         spec: &TestGraphSpec,
         options: &CheckOptions,
-    ) -> Self {
+    ) -> (Self, DeltaObservations) {
         let mut table = ObserveTable {
             slot_bases: Vec::with_capacity(schema.total_loads()),
-            cand_offsets: Vec::new(),
+            id_offsets: Vec::new(),
+            ids: Vec::new(),
             edges: Vec::new(),
         };
+        let mut raw: Vec<(u32, u32)> = Vec::new();
+        let mut raw_offsets: Vec<u32> = Vec::new();
         for thread in schema.threads() {
             for slot in &thread.loads {
                 let addr = program
                     .instr(slot.op)
                     .and_then(mtc_isa::Instr::addr)
                     .expect("schema slots are loads");
-                table.slot_bases.push(table.cand_offsets.len() as u32);
+                table.slot_bases.push(raw_offsets.len() as u32);
                 for &value in &slot.candidates {
-                    let start = table.edges.len();
-                    table.cand_offsets.push(start as u32);
-                    spec.append_load_edges(slot.op, addr, value, options, &mut table.edges);
+                    let start = raw.len();
+                    raw_offsets.push(start as u32);
+                    spec.append_load_edges(slot.op, addr, value, options, &mut raw);
                     // Sorted bundles let the delta path merge-walk a slot's
                     // old and new bundle and skip their common edges; edge
                     // order within a bundle is otherwise immaterial (the
                     // canonicalized set and the windowing intervals are
                     // order-insensitive).
-                    table.edges[start..].sort_unstable();
+                    raw[start..].sort_unstable();
                 }
             }
         }
-        table.cand_offsets.push(table.edges.len() as u32);
-        table
+        raw_offsets.push(raw.len() as u32);
+        // Sorted interning makes refcount updates flat array ops instead of
+        // per-source scans, and lets the merge-walk compare ids directly.
+        table.edges = raw.iter().copied().filter(|&(u, v)| u != v).collect();
+        table.edges.sort_unstable();
+        table.edges.dedup();
+        let mut delta = DeltaObservations::new(spec.num_vertices());
+        for &(u, v) in &table.edges {
+            delta.intern(u, v);
+        }
+        for bundle in raw_offsets.windows(2) {
+            table.id_offsets.push(table.ids.len() as u32);
+            for &(u, v) in &raw[bundle[0] as usize..bundle[1] as usize] {
+                if u != v {
+                    table.ids.push(delta.intern(u, v));
+                }
+            }
+        }
+        table.id_offsets.push(table.ids.len() as u32);
+        (table, delta)
     }
 
-    /// The edge bundle slot `slot` contributes when observing its candidate
-    /// `index`.
-    fn edges_for(&self, slot: usize, index: u32) -> &[(u32, u32)] {
+    /// The edge ids slot `slot` contributes when observing its candidate
+    /// `index`, ascending.
+    fn ids_for(&self, slot: usize, index: u32) -> &[u32] {
         let at = self.slot_bases[slot] as usize + index as usize;
-        let lo = self.cand_offsets[at] as usize;
-        let hi = self.cand_offsets[at + 1] as usize;
-        &self.edges[lo..hi]
+        &self.ids[self.id_offsets[at] as usize..self.id_offsets[at + 1] as usize]
     }
 
-    /// Replaces `out` with the raw edge union of every slot observing its
+    /// Replaces `out` with the edge union of every slot observing its
     /// decoded candidate `indices[slot]`.
     fn extend_edges(&self, indices: &[u32], out: &mut Vec<(u32, u32)>) {
         out.clear();
         for (slot, &index) in indices.iter().enumerate() {
-            out.extend_from_slice(self.edges_for(slot, index));
+            let bundle = self.ids_for(slot, index);
+            out.extend(bundle.iter().map(|&id| self.edges[id as usize]));
         }
+    }
+}
+
+/// Everything checking one test's signatures reads, shared by every chunk:
+/// the schema, graph spec and observe table, the windowing mode, and the
+/// certificate artifacts with their content hashes.
+struct CheckPlan<'a> {
+    signatures: &'a [(ExecutionSignature, u64)],
+    schema: &'a SignatureSchema,
+    spec: &'a TestGraphSpec,
+    table: &'a ObserveTable,
+    split_windows: bool,
+    arts: Option<CheckContext<'a>>,
+    schema_hash: u64,
+    ctx_hash: u64,
+    telemetry: &'a Telemetry,
+    ids: Ids,
+}
+
+/// What checking one contiguous run of signatures produced.
+#[derive(Default)]
+struct CheckedRun {
+    stats: CollectiveStats,
+    violations: Vec<ViolationRecord>,
+    /// Violating signatures' (index, FAIL certificate) pairs.
+    violating: Vec<(u32, Vec<u8>)>,
+}
+
+impl CheckPlan<'_> {
+    /// Checks signatures `run` — one contiguous run of the ascending
+    /// sequence — with a fresh [`CollectiveChecker`], patching `delta`, an
+    /// empty set interned by [`ObserveTable::build`].
+    ///
+    /// Decode, observe and check stream one signature at a time, retaining
+    /// only the checker's windowed re-sort state and any violation records,
+    /// never the run's observation sequence. The run's first signature
+    /// seeds the checker with a complete sort, exactly as if the run were a
+    /// log of its own.
+    fn check_run(
+        &self,
+        run: Range<usize>,
+        mut delta: DeltaObservations,
+    ) -> Result<CheckedRun, CheckLogError> {
+        let (schema, table) = (self.schema, self.table);
+        let mut scope = self.telemetry.scope(self.ids);
+        let telemetry_on = self.telemetry.enabled();
+        let mut checker = CollectiveChecker::new(self.spec);
+        if self.split_windows {
+            checker = checker.with_split_windows();
+        }
+        let mut out = CheckedRun::default();
+        let mut indices: Vec<u32> = Vec::new();
+        let mut changed: Vec<(u32, u32)> = Vec::new();
+        let mut prev_sig: Option<&ExecutionSignature> = None;
+        for (signature_index, (sig, count)) in run.clone().zip(&self.signatures[run]) {
+            let decode_started = scope.start();
+            // Consecutive ascending signatures share most raw words, so
+            // after the first signature decode only the words that differ —
+            // the delta decode reports exactly the slots whose candidate
+            // index moved.
+            match prev_sig {
+                Some(prev) => schema.decode_indices_delta(sig, prev, &mut indices, &mut changed),
+                None => schema.decode_indices(sig, &mut indices),
+            }
+            .map_err(|source| CheckLogError::Decode {
+                signature_index,
+                source,
+            })?;
+            scope.sample(Phase::Decode, decode_started);
+            // Delta checking: ascending-signature neighbours differ in few
+            // load slots, and each slot contributes a fixed edge bundle — so
+            // instead of rebuilding the edge set per signature, patch the
+            // changed slots' bundles in and out of a refcounted set and let
+            // the checker consume the net diff directly.
+            delta.begin();
+            if prev_sig.is_none() {
+                for (slot, &index) in indices.iter().enumerate() {
+                    for &id in table.ids_for(slot, index) {
+                        delta.add_id(id);
+                    }
+                }
+            } else {
+                for &(slot, old) in &changed {
+                    let slot = slot as usize;
+                    // Bundles are sorted at table build; merge-walk them so
+                    // edges the old and new candidate share are never
+                    // touched (a remove+add of the same edge is a no-op).
+                    let olds = table.ids_for(slot, old);
+                    let news = table.ids_for(slot, indices[slot]);
+                    let (mut i, mut j) = (0, 0);
+                    while i < olds.len() && j < news.len() {
+                        match olds[i].cmp(&news[j]) {
+                            std::cmp::Ordering::Less => {
+                                delta.remove_id(olds[i]);
+                                i += 1;
+                            }
+                            std::cmp::Ordering::Greater => {
+                                delta.add_id(news[j]);
+                                j += 1;
+                            }
+                            std::cmp::Ordering::Equal => {
+                                i += 1;
+                                j += 1;
+                            }
+                        }
+                    }
+                    for &id in &olds[i..] {
+                        delta.remove_id(id);
+                    }
+                    for &id in &news[j..] {
+                        delta.add_id(id);
+                    }
+                }
+            }
+            prev_sig = Some(sig);
+            let push_started = scope.start();
+            let incremental_before = if telemetry_on {
+                checker.stats().incremental
+            } else {
+                0
+            };
+            let push = checker.push_delta(&delta);
+            // A push that grew the incremental counter re-sorted part of the
+            // previous topological order — histogram it separately from the
+            // no-resort fast path (Figure 14's split).
+            if telemetry_on && checker.stats().incremental > incremental_before {
+                scope.sample(Phase::Resort, push_started);
+            } else {
+                scope.sample(Phase::Check, push_started);
+            }
+            if let Some(c) = self.arts {
+                let cert_bytes = checker
+                    .last_certificate()
+                    .expect("a push always records a verdict")
+                    .to_bytes();
+                if push.is_err() {
+                    out.violating
+                        .push((signature_index as u32, cert_bytes.clone()));
+                }
+                if let Some(sink) = c.sink {
+                    sink.record(
+                        c.test_index,
+                        self.schema_hash,
+                        sig.words(),
+                        push.is_err(),
+                        &cert_bytes,
+                    );
+                }
+                if let Some(cache) = c.cache {
+                    cache.note_sig(self.ctx_hash, sig.words(), push.is_err(), &cert_bytes);
+                }
+            }
+            if let Err(violation) = push {
+                out.violations.push(ViolationRecord {
+                    signature: sig.clone(),
+                    occurrences: *count,
+                    violation: Some(violation),
+                    reads_from: schema
+                        .decode(sig)
+                        .expect("signature already decoded via decode_indices"),
+                });
+            }
+        }
+        out.stats = *checker.stats();
+        Ok(out)
+    }
+
+    /// Figure 9's baseline over the same signatures: every graph decoded,
+    /// observed in full and sorted from scratch by the conventional
+    /// checker.
+    fn check_conventional(&self) -> Result<CheckStats, CheckLogError> {
+        let mut indices: Vec<u32> = Vec::new();
+        let mut raw_edges: Vec<(u32, u32)> = Vec::new();
+        let mut edge_scratch = mtc_graph::EdgeScratch::default();
+        let mut observations = Vec::with_capacity(self.signatures.len());
+        for (signature_index, (sig, _)) in self.signatures.iter().enumerate() {
+            self.schema
+                .decode_indices(sig, &mut indices)
+                .map_err(|source| CheckLogError::Decode {
+                    signature_index,
+                    source,
+                })?;
+            self.table.extend_edges(&indices, &mut raw_edges);
+            let mut obs = ObservedEdges::default();
+            obs.assign_from_raw_bucketed(&raw_edges, self.spec.num_vertices(), &mut edge_scratch);
+            observations.push(obs);
+        }
+        Ok(check_conventional(self.spec, &observations, None).stats)
     }
 }
 
@@ -1953,9 +1894,9 @@ pub enum CheckLogError {
         /// The underlying decode failure.
         source: mtc_instr::DecodeError,
     },
-    /// A parallel chunk checker panicked
-    /// ([`mtc_graph::CheckError::WorkerPanic`]); the panic was contained to
-    /// the checking call instead of aborting the process.
+    /// A chunk checker panicked; the panic was contained to the checking
+    /// call (see [`crate::pool::bounded_try_map`]) instead of aborting the
+    /// process.
     CheckerPanic {
         /// Stringified panic payload.
         payload: String,
@@ -2259,6 +2200,17 @@ mod tests {
             let (min, max) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
             assert!(max - min <= 1, "shards must be near-equal: {lens:?}");
         }
+        // Earlier shards take the remainder; there is always at least one.
+        let lens = |iters, workers| -> Vec<u64> {
+            shard_ranges(iters, workers)
+                .iter()
+                .map(|r| r.end - r.start)
+                .collect()
+        };
+        assert_eq!(lens(10, 4), vec![3, 3, 2, 2]);
+        assert_eq!(lens(3, 8), vec![1, 1, 1]);
+        assert_eq!(lens(0, 4), vec![0]);
+        assert_eq!(lens(5, 1), vec![5]);
     }
 
     #[test]
@@ -2284,32 +2236,204 @@ mod tests {
         assert!(config.workers >= 1, "0 must resolve to a concrete count");
     }
 
-    #[test]
-    fn chunked_checking_keeps_verdicts_and_the_figure14_identity() {
-        use mtc_sim::BugKind;
+    /// One test on the `LoadLoadLsq` bug platform: its log holds both
+    /// violating and valid signatures.
+    fn lsq_config() -> CampaignConfig {
         let test = TestConfig::new(IsaKind::X86, 4, 50, 4)
             .with_words_per_line(4)
             .with_seed(7);
         let system = mtc_sim::SystemConfig::gem5_x86()
-            .with_bug(BugKind::LoadLoadLsq)
+            .with_bug(mtc_sim::BugKind::LoadLoadLsq)
             .with_aggressive_interleaving();
+        CampaignConfig::new(test, 1200)
+            .with_system(system)
+            .with_tests(1)
+            .with_workers(4)
+    }
+
+    /// The log of [`lsq_config`]'s test, collected once for the tests that
+    /// only check it.
+    fn lsq_log() -> &'static SignatureLog {
+        static LOG: std::sync::OnceLock<SignatureLog> = std::sync::OnceLock::new();
+        LOG.get_or_init(|| {
+            let config = lsq_config();
+            Campaign::new(config.clone()).collect(&crate::testgen::generate(&config.test))
+        })
+    }
+
+    fn violating(report: &TestReport) -> Vec<(&ExecutionSignature, u64)> {
+        report
+            .violations
+            .iter()
+            .map(|v| (&v.signature, v.occurrences))
+            .collect()
+    }
+
+    /// Checks each run of [`lsq_log`] as a log of its own, unchunked: the
+    /// violating signatures in sequence order, and the merged stats.
+    fn check_runs(
+        runs: impl IntoIterator<Item = Range<usize>>,
+    ) -> (Vec<(ExecutionSignature, u64)>, CollectiveStats) {
+        let (campaign, log) = (Campaign::new(lsq_config()), lsq_log());
+        let mut signatures = Vec::new();
+        let mut stats = CollectiveStats::default();
+        for run in runs {
+            let part = SignatureLog {
+                signatures: log.signatures[run].to_vec(),
+                ..log.clone()
+            };
+            let report = campaign.check_log(&part).expect("collected logs decode");
+            signatures.extend(violating(&report).into_iter().map(|(s, n)| (s.clone(), n)));
+            stats = stats.merge(&report.collective);
+        }
+        (signatures, stats)
+    }
+
+    fn shard_runs(len: usize, chunks: usize) -> Vec<Range<usize>> {
+        shard_ranges(len as u64, chunks)
+            .into_iter()
+            .map(|r| r.start as usize..r.end as usize)
+            .collect()
+    }
+
+    #[test]
+    fn check_modes_agree_on_one_log() {
+        let log = lsq_log();
+        let check = |config: CampaignConfig, threaded: bool| {
+            let artifacts = RunArtifacts::prepare(&config);
+            Campaign::new(config)
+                .check_log_impl(log, threaded, Ids::test(0, 1), artifacts.context(0))
+                .expect("collected logs decode")
+        };
+        let plain = check(lsq_config(), true);
+        assert!(!plain.violations.is_empty(), "the LSQ bug must violate");
+        assert_eq!(plain.collective.graphs, log.signatures.len());
+
+        let split = check(lsq_config().with_split_windows(), true);
+        let compare = check(lsq_config().with_conventional_comparison(), true);
+        let chunked = lsq_config().with_workers(3).with_chunked_checking();
+        let chunked_threaded = check(chunked.clone(), true);
+        let chunked_serial = check(chunked.clone(), false);
+        // Neither file is ever written: a check alone saves no artifact.
+        let dir = std::env::temp_dir().join(format!("mtc-check-modes-{}", std::process::id()));
+        let certified = check(
+            lsq_config()
+                .with_certificates(dir.join("certs.mtcs"))
+                .with_verdict_cache(dir.join("verdicts.mtcv")),
+            true,
+        );
+
+        for (mode, report) in [
+            ("split", &split),
+            ("compare", &compare),
+            ("chunked threaded", &chunked_threaded),
+            ("chunked serial", &chunked_serial),
+            ("certified", &certified),
+        ] {
+            assert_eq!(violating(report), violating(&plain), "{mode}");
+        }
+        let mut without_conventional = compare.clone();
+        assert!(without_conventional.conventional.take().is_some());
+        assert_eq!(
+            without_conventional, plain,
+            "--compare adds only the conventional stats"
+        );
+        assert_eq!(
+            certified, plain,
+            "certificates and the cache change no report field"
+        );
+        assert_eq!(chunked_threaded, chunked_serial);
+
+        let runs = shard_runs(log.signatures.len(), 3);
+        assert_eq!(runs.len(), 3);
+        let (signatures, stats) = check_runs(runs);
+        assert_eq!(chunked_threaded.collective, stats);
+        let chunked_violating: Vec<_> = violating(&chunked_threaded)
+            .into_iter()
+            .map(|(s, n)| (s.clone(), n))
+            .collect();
+        assert_eq!(chunked_violating, signatures);
+    }
+
+    #[test]
+    fn chunked_matches_boundaries_on_the_even_plan() {
+        let log = lsq_log();
+        for workers in [1, 2, 3, 4, 8] {
+            let campaign =
+                Campaign::new(lsq_config().with_workers(workers).with_chunked_checking());
+            let threaded = campaign.check_log(log).expect("collected logs decode");
+            let serial = campaign
+                .check_log_impl(log, false, Ids::test(0, 1), None)
+                .expect("collected logs decode");
+            assert_eq!(threaded, serial, "{workers} chunks");
+            let (_, stats) = check_runs(shard_runs(log.signatures.len(), workers));
+            assert_eq!(threaded.collective, stats, "{workers} chunks");
+        }
+    }
+
+    #[test]
+    fn chunking_accounts_extra_complete_sorts() {
+        // A clean platform: no violation ever forces a recovery sort, so
+        // each chunk's re-seeding sort is the only complete sort it adds.
+        let config = CampaignConfig::new(TestConfig::new(IsaKind::Arm, 4, 30, 8).with_seed(3), 400)
+            .with_tests(1)
+            .with_workers(4);
+        let campaign = Campaign::new(config.clone());
+        let log = campaign.collect(&crate::testgen::generate(&config.test));
+        assert!(log.signatures.len() >= 4, "every chunk must be non-empty");
+        let whole = campaign.check_log(&log).expect("collected logs decode");
+        let chunked = Campaign::new(config.with_chunked_checking())
+            .check_log(&log)
+            .expect("collected logs decode");
+        assert!(whole.is_clean() && chunked.is_clean());
+        assert_eq!(chunked.collective.complete, whole.collective.complete + 3);
+        let s = chunked.collective;
+        assert_eq!(
+            s.complete + s.no_resort + s.incremental,
+            s.graphs,
+            "Figure 14 identity must survive chunking"
+        );
+    }
+
+    mod chunk_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Arbitrary chunk boundaries never change any signature's
+            /// verdict, and the merged stats keep the Figure 14 identity.
+            #[test]
+            fn boundaries_do_not_change_verdicts(
+                cuts in prop::collection::vec(any::<usize>(), 0..6),
+            ) {
+                let log = lsq_log();
+                let len = log.signatures.len();
+                let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (len + 1)).collect();
+                bounds.extend([0, len]);
+                bounds.sort_unstable();
+                bounds.dedup();
+                let whole = Campaign::new(lsq_config())
+                    .check_log(log)
+                    .expect("collected logs decode");
+                let (signatures, s) = check_runs(bounds.windows(2).map(|w| w[0]..w[1]));
+                let expected: Vec<_> = violating(&whole)
+                    .into_iter()
+                    .map(|(sig, n)| (sig.clone(), n))
+                    .collect();
+                prop_assert_eq!(signatures, expected);
+                prop_assert_eq!(s.complete + s.no_resort + s.incremental, s.graphs);
+                prop_assert_eq!(s.graphs, len);
+                prop_assert_eq!(s.violations, whole.collective.violations);
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_checking_keeps_verdicts_and_the_figure14_identity() {
         // Same shard plan (workers = 4) both times; only the checking mode
         // differs, so the signature sets are identical by construction.
-        let plain = Campaign::new(
-            CampaignConfig::new(test.clone(), 1200)
-                .with_system(system.clone())
-                .with_tests(1)
-                .with_workers(4),
-        )
-        .run();
-        let chunked = Campaign::new(
-            CampaignConfig::new(test, 1200)
-                .with_system(system)
-                .with_tests(1)
-                .with_workers(4)
-                .with_chunked_checking(),
-        )
-        .run();
+        let plain = Campaign::new(lsq_config()).run();
+        let chunked = Campaign::new(lsq_config().with_chunked_checking()).run();
         for (a, b) in plain.tests.iter().zip(chunked.tests.iter()) {
             assert_eq!(
                 a.violations

@@ -12,17 +12,24 @@
 //!
 //! * [`check_conventional`] — the classic baseline: a full topological sort
 //!   per graph;
-//! * [`check_collective`] — MTraceCheck's contribution (§4.2): graphs arrive
-//!   in ascending-signature order, and each is validated by re-sorting only
-//!   the window of the previous topological order disturbed by new backward
-//!   edges. [`CollectiveStats`] records the Figure 14 breakdown.
+//! * [`CollectiveChecker`] — MTraceCheck's contribution (§4.2): graphs
+//!   arrive in ascending-signature order, and each is validated by
+//!   re-sorting only the window of the previous topological order disturbed
+//!   by new backward edges. It takes one graph at a time, either as
+//!   [`ObservedEdges`] ([`push`](CollectiveChecker::push)) or as a running
+//!   [`DeltaObservations`] ([`push_delta`](CollectiveChecker::push_delta)),
+//!   and witnesses each verdict on demand
+//!   ([`last_certificate`](CollectiveChecker::last_certificate)).
+//!   [`check_collective`] is its batch form over a slice. [`CollectiveStats`]
+//!   records the Figure 14 breakdown; chunked checking is one checker per
+//!   contiguous chunk, with the stats summed by [`CollectiveStats::merge`].
 //!
 //! [`k_medoids`] implements the §4.1 clustering limit study (Figure 6).
 //!
 //! # Example
 //!
 //! ```
-//! use mtc_graph::{check_collective, check_conventional, CheckOptions, TestGraphSpec};
+//! use mtc_graph::{check_collective, check_conventional, Certificate, CheckOptions, TestGraphSpec};
 //! use mtc_isa::{litmus, Mcm, OpId, ReadsFrom, Tid, Value};
 //!
 //! let t = litmus::corr();
@@ -34,9 +41,13 @@
 //! rf.record(OpId::new(Tid(1), 1), Value::INIT);
 //! let obs = spec.observe(&t.program, &rf, &CheckOptions::default());
 //!
-//! let outcome = check_conventional(&spec, &[obs.clone()]);
+//! let mut certificates = Vec::new();
+//! let outcome = check_conventional(&spec, &[obs.clone()], Some(&mut certificates));
 //! assert_eq!(outcome.violation_count(), 1);
-//! assert_eq!(check_collective(&spec, &[obs]).violation_count(), 1);
+//! assert!(matches!(certificates[0], Certificate::Fail { .. }));
+//!
+//! let split_windows = false;
+//! assert_eq!(check_collective(&spec, &[obs], split_windows).violation_count(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,18 +63,10 @@ mod spec;
 mod topo;
 
 pub use certificate::{Certificate, CertificateError, CERT_HEADER_BYTES, CERT_MAGIC, CERT_VERSION};
-pub use collective::{
-    check_collective, check_collective_certified, check_collective_chunked,
-    check_collective_chunked_certified, check_collective_iter, check_collective_iter_certified,
-    check_collective_split, check_collective_with_boundaries,
-    check_collective_with_boundaries_certified, compare_checkers, even_chunk_lengths, CheckError,
-    CollectiveChecker, CollectiveOutcome, CollectiveStats,
-};
+pub use collective::{check_collective, CollectiveChecker, CollectiveOutcome, CollectiveStats};
 pub use delta::DeltaObservations;
 pub use diagnose::{classify_cycle, explain_violation, EdgeReason, ExplainedEdge};
 pub use dot::render_dot;
 pub use kmedoids::{k_medoids, KMedoidsResult};
 pub use spec::{CheckOptions, EdgeScratch, ObservedEdges, TestGraphSpec};
-pub use topo::{
-    check_conventional, check_conventional_certified, CheckOutcome, CheckStats, Violation,
-};
+pub use topo::{check_conventional, CheckOutcome, CheckStats, Violation};

@@ -254,15 +254,36 @@ pub(crate) fn violation_from_cycle(spec: &TestGraphSpec, cycle: Vec<u32>) -> Vio
 /// The conventional checker: every constraint graph is topologically sorted
 /// from scratch, independently — the baseline MTraceCheck's collective
 /// checking is measured against (Figure 9).
-pub fn check_conventional(spec: &TestGraphSpec, observations: &[ObservedEdges]) -> CheckOutcome {
+///
+/// With `certificates`, one [`Certificate`](crate::Certificate) per graph is
+/// appended to it, in input order: the produced topological order for PASS
+/// (materialized by every sort anyway) or the extracted cycle for FAIL.
+/// Verdicts, stats and cycles are the same either way.
+pub fn check_conventional(
+    spec: &TestGraphSpec,
+    observations: &[ObservedEdges],
+    mut certificates: Option<&mut Vec<crate::Certificate>>,
+) -> CheckOutcome {
     let mut outcome = CheckOutcome::default();
     let mut scratch = SortScratch::default();
     for obs in observations {
         let result = match full_sort_into(spec, obs, &mut outcome.stats.work, &mut scratch) {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                if let Some(certs) = certificates.as_deref_mut() {
+                    certs.push(crate::Certificate::Pass {
+                        order: scratch.order.clone(),
+                    });
+                }
+                Ok(())
+            }
             Err(remaining) => {
                 outcome.stats.violations += 1;
                 let cycle = extract_cycle(spec, obs, &remaining);
+                if let Some(certs) = certificates.as_deref_mut() {
+                    certs.push(crate::Certificate::Fail {
+                        cycle: cycle.clone(),
+                    });
+                }
                 Err(violation_from_cycle(spec, cycle))
             }
         };
@@ -270,41 +291,6 @@ pub fn check_conventional(spec: &TestGraphSpec, observations: &[ObservedEdges]) 
         outcome.stats.graphs += 1;
     }
     outcome
-}
-
-/// Certified form of [`check_conventional`]: identical verdicts, stats and
-/// cycles, plus a [`Certificate`](crate::Certificate) witnessing each
-/// graph's verdict — the produced topological order for PASS (materialized
-/// by every sort anyway, previously discarded) or the extracted cycle for
-/// FAIL.
-pub fn check_conventional_certified(
-    spec: &TestGraphSpec,
-    observations: &[ObservedEdges],
-) -> (CheckOutcome, Vec<crate::Certificate>) {
-    let mut outcome = CheckOutcome::default();
-    let mut certificates = Vec::with_capacity(observations.len());
-    let mut scratch = SortScratch::default();
-    for obs in observations {
-        let result = match full_sort_into(spec, obs, &mut outcome.stats.work, &mut scratch) {
-            Ok(()) => {
-                certificates.push(crate::Certificate::Pass {
-                    order: scratch.order.clone(),
-                });
-                Ok(())
-            }
-            Err(remaining) => {
-                outcome.stats.violations += 1;
-                let cycle = extract_cycle(spec, obs, &remaining);
-                certificates.push(crate::Certificate::Fail {
-                    cycle: cycle.clone(),
-                });
-                Err(violation_from_cycle(spec, cycle))
-            }
-        };
-        outcome.results.push(result);
-        outcome.stats.graphs += 1;
-    }
-    (outcome, certificates)
 }
 
 #[cfg(test)]
@@ -332,7 +318,7 @@ mod tests {
         let (p, spec) = corr_spec();
         // Both loads read the store: fine.
         let o = obs(&p, &spec, &[(1, 0, 1), (1, 1, 1)]);
-        let outcome = check_conventional(&spec, &[o]);
+        let outcome = check_conventional(&spec, &[o], None);
         assert_eq!(outcome.results, vec![Ok(())]);
         assert_eq!(outcome.stats.graphs, 1);
         assert!(outcome.stats.work > 0);
@@ -344,7 +330,7 @@ mod tests {
         // First load reads the store, second reads init: rf(st,l1),
         // po(l1,l2), fr(l2,st) — the Figure 13 shape.
         let o = obs(&p, &spec, &[(1, 0, 1), (1, 1, 0)]);
-        let outcome = check_conventional(&spec, &[o]);
+        let outcome = check_conventional(&spec, &[o], None);
         assert_eq!(outcome.violation_count(), 1);
         let violation = outcome.results[0].as_ref().unwrap_err();
         assert_eq!(violation.cycle.len(), 3);
@@ -374,7 +360,7 @@ mod tests {
         for (mcm, expect_violation) in [(Mcm::Sc, true), (Mcm::Tso, false)] {
             let spec = TestGraphSpec::new(&t.program, mcm);
             let o = obs(&t.program, &spec, &[(0, 1, 0), (1, 1, 0)]);
-            let outcome = check_conventional(&spec, &[o]);
+            let outcome = check_conventional(&spec, &[o], None);
             assert_eq!(
                 outcome.violation_count() == 1,
                 expect_violation,
@@ -387,8 +373,8 @@ mod tests {
     fn work_scales_with_graph_count() {
         let (p, spec) = corr_spec();
         let o = obs(&p, &spec, &[(1, 0, 1), (1, 1, 1)]);
-        let one = check_conventional(&spec, std::slice::from_ref(&o));
-        let three = check_conventional(&spec, &[o.clone(), o.clone(), o]);
+        let one = check_conventional(&spec, std::slice::from_ref(&o), None);
+        let three = check_conventional(&spec, &[o.clone(), o.clone(), o], None);
         assert_eq!(three.stats.work, 3 * one.stats.work);
     }
 }

@@ -1,10 +1,11 @@
 //! Differential checker-oracle suite: a slow, obviously-correct reference
 //! checker (naive per-graph DFS cycle detection over plain edge lists) is
-//! run against every production checker entry point — `check_conventional`,
-//! `check_collective`, `check_collective_split`, `check_collective_chunked`
-//! and the streaming `CollectiveChecker` — on proptest-generated
-//! `(program, Mcm, ReadsFrom)` triples, asserting identical verdicts,
-//! consistent stats, and diagnosable cycles.
+//! run against the production checkers — `check_conventional` and the one
+//! collective algorithm, `CollectiveChecker`, over the grid {single / split
+//! windows} × {`push` / `push_delta`} × {1 chunk / 3 chunks merged} ×
+//! {certificates off / on} — on proptest-generated `(program, Mcm,
+//! ReadsFrom)` triples, asserting identical verdicts, consistent stats,
+//! verifiable certificates, and diagnosable cycles.
 //!
 //! The reference checker shares *no* code with the hot path: it folds the
 //! spec's static successors and the observation's edge pairs into a fresh
@@ -14,9 +15,10 @@
 //!
 //! CI runs this suite with `PROPTEST_CASES=1024`.
 
+use mtracecheck::certify::verify_verdict;
 use mtracecheck::graph::{
-    check_collective, check_collective_chunked, check_collective_split, check_conventional,
-    classify_cycle, explain_violation, CheckOptions, CollectiveChecker, EdgeReason, ObservedEdges,
+    check_collective, check_conventional, classify_cycle, explain_violation, CheckOptions,
+    CollectiveChecker, CollectiveStats, DeltaObservations, EdgeReason, ObservedEdges,
     TestGraphSpec,
 };
 use mtracecheck::isa::{IsaKind, Mcm, OpId, Program, ReadsFrom, Value};
@@ -67,8 +69,95 @@ fn reference_has_cycle(spec: &TestGraphSpec, obs: &ObservedEdges) -> bool {
     false
 }
 
-/// Run every production entry point on the same observation sequence and
-/// assert each one's per-graph verdicts equal the reference checker's.
+/// One cell of the collective-checker grid.
+#[derive(Copy, Clone, Debug)]
+struct Cell {
+    split_windows: bool,
+    delta: bool,
+    chunks: usize,
+    certificates: bool,
+}
+
+impl Cell {
+    fn grid() -> Vec<Cell> {
+        let mut cells = Vec::new();
+        for split_windows in [false, true] {
+            for delta in [false, true] {
+                for chunks in [1, 3] {
+                    for certificates in [false, true] {
+                        cells.push(Cell {
+                            split_windows,
+                            delta,
+                            chunks,
+                            certificates,
+                        });
+                    }
+                }
+            }
+        }
+        cells
+    }
+}
+
+/// Checks `observations` as `cell` says: one fresh `CollectiveChecker` per
+/// contiguous chunk (the campaign's near-equal plan, earlier chunks taking
+/// the remainder), fed by `push` or by a running `DeltaObservations`, with
+/// every certificate replayed through the independent verifier. Returns
+/// the per-graph verdicts (`true` = cyclic) and the merged stats.
+fn check_cell(
+    spec: &TestGraphSpec,
+    observations: &[ObservedEdges],
+    cell: Cell,
+) -> Result<(Vec<bool>, CollectiveStats), String> {
+    let chunks = cell.chunks.min(observations.len().max(1));
+    let (base, remainder) = (observations.len() / chunks, observations.len() % chunks);
+    let mut verdicts = Vec::with_capacity(observations.len());
+    let mut stats = CollectiveStats::default();
+    let mut rest = observations;
+    for c in 0..chunks {
+        let (chunk, tail) = rest.split_at(base + usize::from(c < remainder));
+        rest = tail;
+        let mut checker = CollectiveChecker::new(spec);
+        if cell.split_windows {
+            checker = checker.with_split_windows();
+        }
+        let mut set = DeltaObservations::new(spec.num_vertices());
+        let mut prev = ObservedEdges::default();
+        for obs in chunk {
+            let result = if cell.delta {
+                set.begin();
+                for (u, v) in prev.difference(obs) {
+                    set.remove(u, v);
+                }
+                for (u, v) in obs.difference(&prev) {
+                    set.add(u, v);
+                }
+                prev.clone_from(obs);
+                checker.push_delta(&set)
+            } else {
+                checker.push(obs)
+            };
+            if cell.certificates {
+                let cert = checker
+                    .last_certificate()
+                    .expect("a push records a verdict");
+                let verified = verify_verdict(spec, obs, &cert, result.is_err());
+                prop_assert!(
+                    verified.is_ok(),
+                    "{:?}: certificate rejected: {:?}",
+                    cell,
+                    verified
+                );
+            }
+            verdicts.push(result.is_err());
+        }
+        stats = stats.merge(checker.stats());
+    }
+    Ok((verdicts, stats))
+}
+
+/// Run the production checkers on the same observation sequence and assert
+/// each one's per-graph verdicts equal the reference checker's.
 fn assert_all_checkers_match_reference(
     program: &Program,
     spec: &TestGraphSpec,
@@ -81,63 +170,54 @@ fn assert_all_checkers_match_reference(
         .collect();
     let expected_violations = expected.iter().filter(|&&c| c).count();
 
-    let conventional = check_conventional(spec, observations);
-    let collective = check_collective(spec, observations);
-    let split = check_collective_split(spec, observations);
-    let chunked =
-        check_collective_chunked(spec, observations, 3, false).expect("chunk workers never panic");
-
-    for (label, results) in [
-        ("conventional", &conventional.results),
-        ("collective", &collective.results),
-        ("split", &split.results),
-        ("chunked", &chunked.results),
-    ] {
-        prop_assert_eq!(results.len(), expected.len(), "{} result count", label);
-        for (i, (r, &cyclic)) in results.iter().zip(&expected).enumerate() {
-            prop_assert_eq!(
-                r.is_err(),
-                cyclic,
-                "{} verdict for graph {} disagrees with reference DFS",
-                label,
-                i
-            );
-        }
-    }
-
-    // Streaming checker, one push at a time.
-    let mut checker = CollectiveChecker::new(spec);
-    for (i, (obs, &cyclic)) in observations.iter().zip(&expected).enumerate() {
-        prop_assert_eq!(
-            checker.push(obs).is_err(),
-            cyclic,
-            "streaming verdict for graph {} disagrees with reference DFS",
-            i
-        );
-    }
-
-    // Stats coherence across the family.
+    let conventional = check_conventional(spec, observations, None);
+    let conventional_verdicts: Vec<bool> =
+        conventional.results.iter().map(Result::is_err).collect();
+    prop_assert_eq!(&conventional_verdicts, &expected, "conventional verdicts");
     prop_assert_eq!(conventional.stats.violations, expected_violations);
     prop_assert_eq!(conventional.stats.graphs, observations.len());
-    for (label, stats) in [
-        ("collective", &collective.stats),
-        ("split", &split.stats),
-        ("chunked", &chunked.stats),
-        ("stream", checker.stats()),
-    ] {
+
+    let mut plain_stats: Vec<(Cell, CollectiveStats)> = Vec::new();
+    for cell in Cell::grid() {
+        let (verdicts, stats) = check_cell(spec, observations, cell)?;
+        prop_assert_eq!(
+            &verdicts,
+            &expected,
+            "{:?} verdicts disagree with the reference DFS",
+            cell
+        );
         prop_assert_eq!(
             stats.violations,
             expected_violations,
-            "{} violations",
-            label
+            "{:?} violations",
+            cell
         );
-        prop_assert_eq!(stats.graphs, observations.len(), "{} graphs", label);
+        prop_assert_eq!(stats.graphs, observations.len(), "{:?} graphs", cell);
         prop_assert_eq!(
             stats.complete + stats.no_resort + stats.incremental,
             stats.graphs,
-            "{}: Figure 14 identity broken",
-            label
+            "{:?}: Figure 14 identity broken",
+            cell
         );
+        // How a graph reaches the checker, and whether its verdict is
+        // witnessed, never changes the work it does: the stats depend on
+        // the windowing and the chunk plan alone.
+        match plain_stats
+            .iter()
+            .find(|(c, _)| c.split_windows == cell.split_windows && c.chunks == cell.chunks)
+        {
+            Some((first, first_stats)) => {
+                prop_assert_eq!(&stats, first_stats, "{:?} vs {:?}", cell, first);
+            }
+            None => plain_stats.push((cell, stats)),
+        }
+        // The batch form is the `push` cell over one chunk.
+        if !cell.delta && cell.chunks == 1 {
+            let batch = check_collective(spec, observations, cell.split_windows);
+            prop_assert_eq!(&batch.stats, &stats, "batch {:?}", cell);
+            let batch_verdicts: Vec<bool> = batch.results.iter().map(Result::is_err).collect();
+            prop_assert_eq!(&batch_verdicts, &expected, "batch {:?}", cell);
+        }
     }
 
     // Every reported cycle must diagnose: one classified edge per cycle
@@ -187,8 +267,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Simulator-produced (legal) observations plus random (mostly
-    /// illegal) ones, across all three models and both ISAs: all five
-    /// checker entry points agree with the reference DFS on every graph.
+    /// illegal) ones, across all three models and both ISAs: every checker
+    /// grid cell agrees with the reference DFS on every graph.
     #[test]
     fn checkers_agree_with_reference_dfs(
         seed in any::<u64>(),
@@ -276,7 +356,7 @@ proptest! {
         // Identical graphs hit exactly one of two regimes: acyclic repeats
         // all take the no-resort fast path after one full sort; a cyclic
         // repeat forces a recovery full sort on every push.
-        let collective = check_collective(&spec, &observations);
+        let collective = check_collective(&spec, &observations, false);
         prop_assert_eq!(collective.stats.resorted_vertices, 0);
         if reference_has_cycle(&spec, &observations[0]) {
             prop_assert_eq!(collective.stats.complete, copies);
@@ -288,9 +368,8 @@ proptest! {
     }
 }
 
-/// Degenerate: the empty observation set. Every entry point must return
-/// zero graphs, zero violations, and the streaming checker must report
-/// empty stats.
+/// Degenerate: the empty observation set. Every grid cell must return
+/// zero graphs and empty stats, and a fresh checker has no certificate.
 #[test]
 fn empty_observation_set() {
     let test = TestConfig::new(IsaKind::Arm, 2, 8, 2).with_seed(7);
@@ -298,24 +377,25 @@ fn empty_observation_set() {
     let spec = TestGraphSpec::new(&program, test.mcm);
     let observations: Vec<ObservedEdges> = Vec::new();
 
-    let conventional = check_conventional(&spec, &observations);
+    let conventional = check_conventional(&spec, &observations, None);
     assert_eq!(conventional.results.len(), 0);
     assert_eq!(conventional.stats.graphs, 0);
     assert_eq!(conventional.stats.violations, 0);
 
-    let collective = check_collective(&spec, &observations);
-    assert_eq!(collective.results.len(), 0);
-    assert_eq!(collective.stats.graphs, 0);
-
-    let split = check_collective_split(&spec, &observations);
-    assert_eq!(split.results.len(), 0);
-
-    let chunked = check_collective_chunked(&spec, &observations, 4, false).expect("no panic");
-    assert_eq!(chunked.results.len(), 0);
-    assert_eq!(chunked.stats.graphs, 0);
+    for split_windows in [false, true] {
+        let collective = check_collective(&spec, &observations, split_windows);
+        assert_eq!(collective.results.len(), 0);
+        assert_eq!(collective.stats, CollectiveStats::default());
+    }
+    for cell in Cell::grid() {
+        let (verdicts, stats) = check_cell(&spec, &observations, cell).expect("no graphs");
+        assert!(verdicts.is_empty(), "{cell:?}");
+        assert_eq!(stats, CollectiveStats::default(), "{cell:?}");
+    }
 
     let checker = CollectiveChecker::new(&spec);
     assert_eq!(checker.stats().graphs, 0);
+    assert!(checker.last_certificate().is_none());
 }
 
 /// The reference DFS itself is sane: it flags the canonical SC-forbidden

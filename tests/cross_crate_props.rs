@@ -1,9 +1,12 @@
 //! Cross-crate property tests: the invariants that tie the simulator,
 //! instrumentation and checkers together.
 
-use mtracecheck::graph::{check_collective, check_conventional, CheckOptions, TestGraphSpec};
+use mtracecheck::graph::{
+    check_collective, check_conventional, CheckOptions, CollectiveChecker, DeltaObservations,
+    ObservedEdges, TestGraphSpec,
+};
 use mtracecheck::instr::{analyze, SignatureSchema, SourcePruning};
-use mtracecheck::isa::{IsaKind, OpId, ReadsFrom, Value};
+use mtracecheck::isa::{parse_program, IsaKind, Mcm, OpId, ReadsFrom, Tid, Value};
 use mtracecheck::sim::{Simulator, SystemConfig};
 use mtracecheck::testgen::{generate, TestConfig};
 use proptest::prelude::*;
@@ -64,7 +67,7 @@ proptest! {
                 spec.observe(&program, &rf, &CheckOptions::default())
             })
             .collect();
-        let outcome = check_conventional(&spec, &observations);
+        let outcome = check_conventional(&spec, &observations, None);
         prop_assert_eq!(outcome.violation_count(), 0);
     }
 
@@ -112,8 +115,8 @@ proptest! {
             .map(|rf| spec.observe(&program, rf, &CheckOptions::default()))
             .collect();
 
-        let collective = check_collective(&spec, &observations);
-        let conventional = check_conventional(&spec, &observations);
+        let collective = check_collective(&spec, &observations, false);
+        let conventional = check_conventional(&spec, &observations, None);
         prop_assert_eq!(collective.results.len(), conventional.results.len());
         for (i, (a, b)) in collective
             .results
@@ -160,54 +163,75 @@ proptest! {
     }
 }
 
-/// Deterministic regression: the checker flags a synthetic anti-coherent
-/// observation on a generated test (not just litmus shapes).
+/// Deterministic regression: every checker flags a synthetic anti-coherent
+/// observation in a multi-thread, multi-address program (not just a litmus
+/// shape), and only that one.
 #[test]
 fn synthetic_violation_is_flagged() {
-    let test = TestConfig::new(IsaKind::X86, 2, 10, 2).with_seed(99);
-    let program = generate(&test);
-    let spec = TestGraphSpec::new(&program, test.mcm);
+    // Thread 1 loads address 0 twice with no store of its own to it, and
+    // thread 0 stores to it: claiming the first load read that store and
+    // the second read the initial value closes rf -> po -> fr.
+    let program = parse_program(
+        "addrs 3\n\
+         thread 0: st 0; ld 1; st 2; ld 2; fence; ld 0\n\
+         thread 1: ld 2; ld 0; st 1; ld 0; ld 1\n\
+         thread 2: st 1; ld 0; st 0; ld 2\n",
+    )
+    .expect("valid program");
+    let (l1, l2) = (OpId::new(Tid(1), 1), OpId::new(Tid(1), 3));
+    let store = program
+        .stores()
+        .find(|&(op, _)| op == OpId::new(Tid(0), 0))
+        .map(|(_, id)| id)
+        .expect("thread 0 stores first");
+    let spec = TestGraphSpec::new(&program, Mcm::Tso);
 
-    // Find two same-address loads in one thread and a remote store to that
-    // address; claim the first read the store and the second read init.
-    let mut candidate = None;
-    'outer: for (l1, i1) in program.iter_ops().filter(|(_, i)| i.is_load()) {
-        for (l2, i2) in program.iter_ops().filter(|(_, i)| i.is_load()) {
-            if l1.tid == l2.tid && l1.idx < l2.idx && i1.addr() == i2.addr() {
-                let addr = i1.addr().expect("loads have addresses");
-                if program.last_own_store_before(l2).is_some() {
-                    continue;
-                }
-                if let Some((_, id)) = program.stores_to(addr).find(|(op, _)| op.tid != l1.tid) {
-                    candidate = Some((l1, l2, id));
-                    break 'outer;
-                }
-            }
-        }
-    }
-    let Some((l1, l2, store)) = candidate else {
-        // Seed 99 is known to contain the shape; if generation ever
-        // changes, fail loudly so the seed can be re-picked.
-        panic!("seed no longer produces the required load/load/store shape");
-    };
-    let mut rf = ReadsFrom::new();
+    // Every load reads its own thread's latest store, or the initial value.
+    let mut benign = ReadsFrom::new();
     for load in program.loads() {
-        // Fill every other load with a benign own-thread/init value.
-        let benign = match program.last_own_store_before(load) {
+        let value = match program.last_own_store_before(load) {
             Some((_, id)) => Value::from(id),
             None => Value::INIT,
         };
-        rf.record(load, benign);
+        benign.record(load, value);
     }
-    rf.record(l1, Value::from(store));
-    rf.record(l2, Value::INIT);
-    let obs = spec.observe(&program, &rf, &CheckOptions::default());
-    let outcome = check_conventional(&spec, &[obs]);
-    assert_eq!(
-        outcome.violation_count(),
-        1,
-        "anti-coherent pair must cycle"
-    );
+    let mut anti_coherent = benign.clone();
+    anti_coherent.record(l1, Value::from(store));
+    anti_coherent.record(l2, Value::INIT);
+    let observations: Vec<ObservedEdges> = [&benign, &anti_coherent, &benign]
+        .iter()
+        .map(|rf| spec.observe(&program, rf, &CheckOptions::default()))
+        .collect();
+    let expected = [false, true, false];
+
+    let verdicts =
+        |results: &[Result<(), _>]| results.iter().map(Result::is_err).collect::<Vec<_>>();
+    let conventional = check_conventional(&spec, &observations, None);
+    assert_eq!(verdicts(&conventional.results), expected, "conventional");
+    for split_windows in [false, true] {
+        let collective = check_collective(&spec, &observations, split_windows);
+        assert_eq!(
+            verdicts(&collective.results),
+            expected,
+            "collective, split windows {split_windows}"
+        );
+    }
+    let mut checker = CollectiveChecker::new(&spec);
+    let mut set = DeltaObservations::new(spec.num_vertices());
+    let mut prev = ObservedEdges::default();
+    let mut pushed = Vec::new();
+    for obs in &observations {
+        set.begin();
+        for (u, v) in prev.difference(obs) {
+            set.remove(u, v);
+        }
+        for (u, v) in obs.difference(&prev) {
+            set.add(u, v);
+        }
+        prev.clone_from(obs);
+        pushed.push(checker.push_delta(&set));
+    }
+    assert_eq!(verdicts(&pushed), expected, "push_delta");
 }
 
 proptest! {

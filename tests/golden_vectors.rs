@@ -15,9 +15,8 @@
 //! ```
 
 use mtracecheck::graph::{
-    check_collective, check_collective_certified, check_collective_chunked, check_collective_split,
-    check_conventional, check_conventional_certified, explain_violation, CheckOptions,
-    CollectiveChecker, TestGraphSpec, Violation,
+    check_collective, check_conventional, explain_violation, CheckOptions, CollectiveChecker,
+    CollectiveStats, ObservedEdges, TestGraphSpec, Violation,
 };
 use mtracecheck::isa::{litmus, Mcm, ReadsFrom};
 use mtracecheck::sim::enumerate_outcomes;
@@ -66,6 +65,22 @@ fn cycle_text(violation: &Violation) -> String {
     s
 }
 
+/// Splits `observations` into at most `chunks` contiguous, near-equal,
+/// non-empty runs (earlier runs take the remainder) — the partition the
+/// campaign's chunked checking uses.
+fn even_chunks(observations: &[ObservedEdges], chunks: usize) -> Vec<&[ObservedEdges]> {
+    let chunks = chunks.min(observations.len().max(1));
+    let (base, remainder) = (observations.len() / chunks, observations.len() % chunks);
+    let mut rest = observations;
+    (0..chunks)
+        .map(|i| {
+            let (chunk, tail) = rest.split_at(base + usize::from(i < remainder));
+            rest = tail;
+            chunk
+        })
+        .collect()
+}
+
 fn render_corpus() -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# checker golden vectors v1");
@@ -86,7 +101,8 @@ fn render_corpus() -> String {
                 spec.num_static_edges()
             );
 
-            let conventional = check_conventional(&spec, &observations);
+            let mut conv_certs = Vec::new();
+            let conventional = check_conventional(&spec, &observations, Some(&mut conv_certs));
             let cs = conventional.stats;
             let _ = writeln!(
                 out,
@@ -99,7 +115,7 @@ fn render_corpus() -> String {
                 }
             }
 
-            let collective = check_collective(&spec, &observations);
+            let collective = check_collective(&spec, &observations, false);
             let ks = collective.stats;
             let _ = writeln!(
                 out,
@@ -120,7 +136,7 @@ fn render_corpus() -> String {
                 }
             }
 
-            let split = check_collective_split(&spec, &observations);
+            let split = check_collective(&spec, &observations, true);
             let ss = split.stats;
             let _ =
                 writeln!(
@@ -130,57 +146,61 @@ fn render_corpus() -> String {
                 ss.work
             );
 
-            let chunked =
-                check_collective_chunked(&spec, &observations, 3, false).expect("no panics");
-            let hs = chunked.stats;
+            let hs = even_chunks(&observations, 3)
+                .into_iter()
+                .map(|chunk| check_collective(&spec, chunk, false).stats)
+                .fold(CollectiveStats::default(), |sum, s| sum.merge(&s));
             let _ = writeln!(
                 out,
                 "chunked3: complete={} no_resort={} incremental={} violations={} work={}",
                 hs.complete, hs.no_resort, hs.incremental, hs.violations, hs.work
             );
 
-            // Streaming checker verdict bitmap (must equal the batch path).
+            // Streaming checker verdict bitmap (must equal the batch path),
+            // with each push's certificate.
             let mut checker = CollectiveChecker::new(&spec);
-            let stream_verdicts: String = observations
+            let mut coll_certs = Vec::new();
+            let stream_results: Vec<_> = observations
                 .iter()
-                .map(|o| if checker.push(o).is_ok() { '.' } else { 'X' })
+                .map(|o| {
+                    let result = checker.push(o);
+                    coll_certs.push(
+                        checker
+                            .last_certificate()
+                            .expect("a push records a verdict"),
+                    );
+                    result
+                })
+                .collect();
+            assert_eq!(
+                stream_results, collective.results,
+                "streaming pushes must match the batch checker"
+            );
+            let stream_verdicts: String = stream_results
+                .iter()
+                .map(|r| if r.is_ok() { '.' } else { 'X' })
                 .collect();
             let _ = writeln!(out, "stream: {stream_verdicts}");
 
-            // Byte-pinned verdict certificates from both certified entry
-            // points (their witnesses and extracted cycles may legitimately
-            // differ). Every certificate is replayed through the
-            // independent verifier before it is pinned, so a fixture line
-            // is both a byte-stability pin and a verified witness.
-            let (conv_cert, conv_certs) = check_conventional_certified(&spec, &observations);
-            assert_eq!(
-                conv_cert.results, conventional.results,
-                "certified conventional check must not change verdicts"
-            );
-            for (i, (result, cert)) in conv_cert.results.iter().zip(&conv_certs).enumerate() {
-                mtracecheck::certify::verify_verdict(
-                    &spec,
-                    &observations[i],
-                    cert,
-                    result.is_err(),
-                )
-                .expect("golden conventional certificate verifies");
-                let _ = writeln!(out, "cert-conventional[{i}]: {}", hex(&cert.to_bytes()));
-            }
-            let (coll_cert, coll_certs) = check_collective_certified(&spec, &observations, false);
-            assert_eq!(
-                coll_cert.results, collective.results,
-                "certified collective check must not change verdicts"
-            );
-            for (i, (result, cert)) in coll_cert.results.iter().zip(&coll_certs).enumerate() {
-                mtracecheck::certify::verify_verdict(
-                    &spec,
-                    &observations[i],
-                    cert,
-                    result.is_err(),
-                )
-                .expect("golden collective certificate verifies");
-                let _ = writeln!(out, "cert-collective[{i}]: {}", hex(&cert.to_bytes()));
+            // Byte-pinned verdict certificates from both checkers (their
+            // witnesses and extracted cycles may legitimately differ).
+            // Every certificate is replayed through the independent
+            // verifier before it is pinned, so a fixture line is both a
+            // byte-stability pin and a verified witness.
+            for (label, results, certs) in [
+                ("conventional", &conventional.results, &conv_certs),
+                ("collective", &collective.results, &coll_certs),
+            ] {
+                for (i, (result, cert)) in results.iter().zip(certs).enumerate() {
+                    mtracecheck::certify::verify_verdict(
+                        &spec,
+                        &observations[i],
+                        cert,
+                        result.is_err(),
+                    )
+                    .unwrap_or_else(|e| panic!("golden {label} certificate {i} verifies: {e}"));
+                    let _ = writeln!(out, "cert-{label}[{i}]: {}", hex(&cert.to_bytes()));
+                }
             }
 
             // Figure 13-style diagnosis of the first violating graph, from
@@ -252,7 +272,7 @@ fn golden_corpus_is_not_vacuous() {
         for mcm in Mcm::ALL {
             let spec = TestGraphSpec::new(&test.program, mcm);
             let (_, observations) = corpus_observations(&test.program, &spec);
-            let outcome = check_conventional(&spec, &observations);
+            let outcome = check_conventional(&spec, &observations, None);
             total_graphs += outcome.stats.graphs;
             total_violations += outcome.stats.violations;
         }

@@ -26,15 +26,22 @@ use mtracecheck::{
     TestConfig,
 };
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn serde_is_stubbed() -> bool {
     serde_json::to_string(&0u32).is_err()
 }
 
+/// A fresh directory per call. The process id alone is not unique enough:
+/// tests in this binary run concurrently, and two calls with the same
+/// `name` (every `cache_fixture()` caller) would otherwise share — and
+/// delete — one directory while the other still uses it.
 fn temp_dir(name: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "mtracecheck-integrity-{name}-{}",
-        std::process::id()
+        "mtracecheck-integrity-{name}-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
