@@ -1,6 +1,6 @@
 //! Criterion benchmarks for the execution substrate: iteration throughput
-//! of the operational simulator (plain and instrumented) and the
-//! exhaustive litmus oracle.
+//! of the operational simulator (plain, instrumented, and the campaign's
+//! commit-time signature path) and the exhaustive litmus oracle.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mtracecheck::instr::{analyze, SignatureSchema, SourcePruning};
@@ -52,6 +52,21 @@ fn bench_simulation(c: &mut Criterion) {
                 });
             },
         );
+        // What `Campaign::collect` runs per iteration: the signature words
+        // accumulated as the loads commit, no reads-from map.
+        group.bench_with_input(BenchmarkId::new("run_signature", name), &program, |b, p| {
+            let analysis = analyze(p, &SourcePruning::none());
+            let schema = SignatureSchema::build(p, &analysis, test.isa.register_bits());
+            let mut sim = Simulator::new(p, campaign.system.clone());
+            sim.instrument(&schema);
+            let mut words = Vec::new();
+            let mut seed = 0u64;
+            b.iter(|| {
+                seed = seed.wrapping_add(1);
+                sim.run_signature(seed, &mut words)
+                    .expect("correct hardware")
+            });
+        });
     }
     group.finish();
 

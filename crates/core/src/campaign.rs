@@ -23,8 +23,8 @@ use mtc_graph::{
     DeltaObservations, ObservedEdges, TestGraphSpec, Violation,
 };
 use mtc_instr::{
-    analyze, CodeSize, CodeSizeModel, EncodeError, ExecutionSignature, IntrusivenessReport,
-    SignatureSchema, SourcePruning,
+    analyze, CodeSize, CodeSizeModel, ExecutionSignature, IntrusivenessReport, SignatureSchema,
+    SourcePruning,
 };
 use mtc_isa::Program;
 use mtc_sim::{SimError, Simulator, SystemConfig};
@@ -1248,7 +1248,6 @@ impl Campaign {
             let run = run_shard(
                 &sim,
                 program,
-                &schema,
                 config,
                 seed_offset,
                 shard_index as u32,
@@ -2001,14 +2000,16 @@ pub(crate) fn shard_ranges(iterations: u64, workers: usize) -> Vec<std::ops::Ran
 }
 
 /// Executes one shard's iterations on a fresh clone of the instrumented
-/// simulator, preserving the campaign's per-iteration seed sequence.
-/// Encoded signatures dedup into the shared budget-capped store; a spill
-/// failure stops the shard and propagates.
+/// simulator, preserving the campaign's per-iteration seed sequence. Each
+/// iteration's signature is accumulated as its loads commit
+/// ([`Simulator::run_signature`], bit-identical to encoding the run's
+/// reads-from with the schema the simulator was instrumented with) and
+/// dedups into the shared budget-capped store; a spill failure stops the
+/// shard and propagates.
 #[allow(clippy::too_many_arguments)]
 fn run_shard(
     sim: &Simulator<'_>,
     program: &Program,
-    schema: &SignatureSchema,
     config: &CampaignConfig,
     seed_offset: u64,
     shard_index: u32,
@@ -2033,6 +2034,7 @@ fn run_shard(
         signature_cycles: 0,
         encoded: 0,
     };
+    let mut words = Vec::new();
     for iter in range {
         pending_progress += 1;
         if pending_progress == PROGRESS_BATCH {
@@ -2044,31 +2046,26 @@ fn run_shard(
             .seed
             .wrapping_add(seed_offset)
             .wrapping_add(iter.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        match sim.run(seed) {
+        match sim.run_signature(seed, &mut words) {
             Err(SimError::ProtocolDeadlock { .. } | SimError::Livelock { .. }) => {
                 shard.crashes += 1;
             }
-            Ok(exec) => {
-                shard.test_cycles += exec.test_cycles + barrier_cycles + init_cycles;
-                shard.signature_cycles += exec.instr_cycles;
-                match schema.encode(&exec.reads_from) {
-                    Ok(sig) => {
-                        let first = FirstSeen {
-                            shard: shard_index,
-                            pos: shard.encoded,
-                        };
-                        shard.encoded += 1;
-                        store
-                            .lock()
-                            .expect("signature store lock")
-                            .insert(&sig, first)?;
-                    }
-                    Err(EncodeError::UnexpectedValue { .. }) => {
-                        shard.assertion_failures += 1;
-                    }
-                    Err(EncodeError::MissingLoad { .. }) => {
-                        unreachable!("complete executions observe every load")
-                    }
+            Ok(run) => {
+                shard.test_cycles += run.test_cycles + barrier_cycles + init_cycles;
+                shard.signature_cycles += run.instr_cycles;
+                if run.asserted {
+                    shard.assertion_failures += 1;
+                } else {
+                    let first = FirstSeen {
+                        shard: shard_index,
+                        pos: shard.encoded,
+                    };
+                    shard.encoded += 1;
+                    let sig = ExecutionSignature::from_words(std::mem::take(&mut words));
+                    store
+                        .lock()
+                        .expect("signature store lock")
+                        .insert(&sig, first)?;
                 }
             }
         }

@@ -17,11 +17,20 @@ pub enum LineState {
     Modified,
 }
 
+/// One resident line of a core's set, in insertion order.
 #[derive(Copy, Clone, Debug)]
 struct Entry {
     line: u32,
-    state: LineState,
     lru: u64,
+}
+
+/// Directory state of one line across all cores.
+#[derive(Copy, Clone, Debug, Default)]
+struct LineDir {
+    /// Bit `c` is set while core `c` holds the line.
+    holders: u64,
+    /// The line is modified — held by exactly one core (MSI).
+    dirty: bool,
 }
 
 /// What one cache access did — consumed by the engine for timing, bug
@@ -43,20 +52,38 @@ pub struct AccessOutcome {
 }
 
 /// All cores' private caches.
+///
+/// Each core keeps per-set LRU lists in insertion order; beside them a
+/// directory records, per line, which cores hold it and whether it is
+/// modified. Lookups, [`CacheModel::peek_latency`] and
+/// [`CacheModel::holds`] therefore cost O(1), and a miss or upgrade visits
+/// only the cores that actually hold the line.
 #[derive(Clone, Debug)]
 pub struct CacheModel {
     config: CacheConfig,
     /// `cores[c][set]` is the entry list for one set of core `c`.
     cores: Vec<Vec<Vec<Entry>>>,
+    /// `dir[line]`, grown on demand to the highest line accessed.
+    dir: Vec<LineDir>,
 }
 
 impl CacheModel {
     /// Creates cold caches for `num_cores` cores.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_cores` exceeds 64, the width of the directory's
+    /// holder masks.
     pub fn new(config: CacheConfig, num_cores: usize) -> Self {
+        assert!(
+            num_cores <= 64,
+            "the cache directory tracks at most 64 cores, got {num_cores}"
+        );
         let sets = config.sets as usize;
         CacheModel {
             config,
             cores: vec![vec![Vec::new(); sets]; num_cores],
+            dir: Vec::new(),
         }
     }
 
@@ -69,53 +96,75 @@ impl CacheModel {
         (line % self.config.sets) as usize
     }
 
+    fn dir(&self, line: u32) -> LineDir {
+        self.dir.get(line as usize).copied().unwrap_or_default()
+    }
+
+    /// Drops `line` from `core`'s set, keeping the set's order.
+    fn remove(&mut self, core: usize, set: usize, line: u32) {
+        let entries = &mut self.cores[core][set];
+        let i = entries
+            .iter()
+            .position(|e| e.line == line)
+            .expect("directory holders are resident");
+        entries.remove(i);
+    }
+
+    /// Invalidates every copy of `line` held by the cores in `holders`.
+    fn invalidate(&mut self, holders: u64, set: usize, line: u32) {
+        let mut rest = holders;
+        while rest != 0 {
+            let c = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            self.remove(c, set, line);
+        }
+    }
+
     /// Performs an access by `core` to `line` and returns what happened.
-    /// `tick` orders LRU decisions.
+    /// `tick` orders LRU decisions: the victim of a full set is its first
+    /// entry, in insertion order, with the smallest tick.
     pub fn access(&mut self, core: usize, line: u32, write: bool, tick: u64) -> AccessOutcome {
         let set = self.set_of(line);
+        if self.dir.len() <= line as usize {
+            self.dir.resize(line as usize + 1, LineDir::default());
+        }
         let mut outcome = AccessOutcome::default();
+        let me = 1u64 << core;
+        let LineDir { holders, dirty } = self.dir[line as usize];
+        let others = holders & !me;
 
-        // Local lookup.
-        let local_hit = self.cores[core][set].iter().position(|e| e.line == line);
-        if let Some(i) = local_hit {
+        if holders & me != 0 {
             outcome.hit = true;
-            let entry = &mut self.cores[core][set][i];
+            let entry = self.cores[core][set]
+                .iter_mut()
+                .find(|e| e.line == line)
+                .expect("directory holders are resident");
             entry.lru = tick;
-            if write && entry.state == LineState::Shared {
-                entry.state = LineState::Modified;
+            if write && !dirty {
                 outcome.upgraded = true;
-                outcome.invalidated_remote = self.invalidate_others(core, line, set);
+                outcome.invalidated_remote = others != 0;
+                self.invalidate(others, set, line);
+                self.dir[line as usize] = LineDir {
+                    holders: me,
+                    dirty: true,
+                };
             }
             return outcome;
         }
 
-        // Miss: consult remote cores.
-        for (c, caches) in self.cores.iter_mut().enumerate() {
-            if c == core {
-                continue;
-            }
-            if let Some(i) = caches[set].iter().position(|e| e.line == line) {
-                let remote = &mut caches[set][i];
-                if remote.state == LineState::Modified {
-                    outcome.remote_dirty = true;
-                }
-                if write {
-                    caches[set].remove(i);
-                    outcome.invalidated_remote = true;
-                } else {
-                    remote.state = LineState::Shared;
-                }
-            }
+        // Miss: a modified copy is the only copy, fetched from its owner;
+        // a write invalidates every remote copy, a read downgrades.
+        outcome.remote_dirty = dirty;
+        if write {
+            outcome.invalidated_remote = others != 0;
+            self.invalidate(others, set, line);
+            self.dir[line as usize].holders = 0;
         }
 
         // Insert locally, evicting LRU if the set is full.
-        let new_state = if write {
-            LineState::Modified
-        } else {
-            LineState::Shared
-        };
+        let ways = self.config.ways as usize;
         let set_entries = &mut self.cores[core][set];
-        if set_entries.len() >= self.config.ways as usize {
+        if set_entries.len() >= ways {
             let victim = set_entries
                 .iter()
                 .enumerate()
@@ -123,44 +172,38 @@ impl CacheModel {
                 .map(|(i, _)| i)
                 .expect("full sets are non-empty");
             let evicted = set_entries.remove(victim);
-            if evicted.state == LineState::Modified {
+            let slot = &mut self.dir[evicted.line as usize];
+            slot.holders &= !me;
+            if slot.dirty {
+                slot.dirty = false;
                 outcome.evicted_dirty = Some(evicted.line);
             }
         }
-        set_entries.push(Entry {
-            line,
-            state: new_state,
-            lru: tick,
-        });
+        self.cores[core][set].push(Entry { line, lru: tick });
+        let slot = &mut self.dir[line as usize];
+        slot.holders |= me;
+        slot.dirty = write;
         outcome
     }
 
     /// Returns `true` when `core` holds `line` in the given state.
     pub fn holds(&self, core: usize, line: u32, state: LineState) -> bool {
-        let set = self.set_of(line);
-        self.cores[core][set]
-            .iter()
-            .any(|e| e.line == line && e.state == state)
+        let dir = self.dir(line);
+        dir.holders & (1u64 << core) != 0 && dir.dirty == (state == LineState::Modified)
     }
 
     /// Estimates the latency of an access by `core` to `line` without
     /// performing it — used by the latency-driven out-of-order commit
     /// policy (a younger L1 hit overtakes an older miss).
     pub fn peek_latency(&self, core: usize, line: u32) -> u32 {
-        let set = self.set_of(line);
-        if self.cores[core][set].iter().any(|e| e.line == line) {
-            return self.config.hit_cycles;
+        let dir = self.dir(line);
+        if dir.holders & (1u64 << core) != 0 {
+            self.config.hit_cycles
+        } else if dir.dirty {
+            self.config.miss_cycles + self.config.coherence_cycles
+        } else {
+            self.config.miss_cycles
         }
-        for (c, caches) in self.cores.iter().enumerate() {
-            if c != core {
-                if let Some(e) = caches[set].iter().find(|e| e.line == line) {
-                    if e.state == LineState::Modified {
-                        return self.config.miss_cycles + self.config.coherence_cycles;
-                    }
-                }
-            }
-        }
-        self.config.miss_cycles
     }
 
     /// Cycles this access costs under the configured latencies.
@@ -172,20 +215,6 @@ impl CacheModel {
         } else {
             self.config.miss_cycles
         }
-    }
-
-    fn invalidate_others(&mut self, core: usize, line: u32, set: usize) -> bool {
-        let mut any = false;
-        for (c, caches) in self.cores.iter_mut().enumerate() {
-            if c == core {
-                continue;
-            }
-            if let Some(i) = caches[set].iter().position(|e| e.line == line) {
-                caches[set].remove(i);
-                any = true;
-            }
-        }
-        any
     }
 }
 

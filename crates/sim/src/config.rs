@@ -67,10 +67,17 @@ pub struct SchedulerConfig {
     /// out-of-order commit under weak models).
     pub reorder_prob: f64,
     /// How many program-order-consecutive operations per thread compete for
-    /// commit (LSQ-like window).
+    /// commit (LSQ-like window), starting at the thread's oldest uncommitted
+    /// operation. At most 64 ([`Simulator::new`](crate::Simulator::new)
+    /// panics otherwise); `0` behaves as `1`.
     pub reorder_window: usize,
-    /// How many of a neighbouring thread's next uncommitted operations are
-    /// scanned for a same-line access when detecting coherence contention.
+    /// Coherence-contention window: a commit to a cache line contends when
+    /// another thread has an uncommitted access to the same line among its
+    /// next `conflict_lookahead` operations counted from its oldest
+    /// uncommitted one. Operations in that span that already committed out
+    /// of order are skipped without extending it, so they shrink the
+    /// window. At most 64 ([`Simulator::new`](crate::Simulator::new) panics
+    /// otherwise); `0` disables contention.
     pub conflict_lookahead: usize,
     /// Maximum randomized backoff, in cycles, added when the committed
     /// access contends for its cache line with another core — the channel

@@ -22,6 +22,12 @@
 //! and the eviction/upgrade events the §7 injected bugs race against, and
 //! a 2-bit branch predictor prices the instrumented signature chains
 //! (Figure 10).
+//!
+//! The hot path works on tables built once per program (each op's cache
+//! line and its ordered-before mask over the reorder window, each
+//! instrumented load's signature slot) and on per-run state kept across
+//! runs (committed masks, lookahead counters, spec lists, memory), so an
+//! iteration allocates nothing on the [`Simulator::run_signature`] path.
 
 use crate::memory::SimMemory;
 use crate::{BranchPredictor, BugKind, CacheModel, SchedulerKind, SimError, SystemConfig};
@@ -75,6 +81,26 @@ pub struct Execution {
     pub trace: Vec<OpId>,
 }
 
+/// The result of [`Simulator::run_signature`]: one execution observed the
+/// way the instrumented test observes itself on silicon — as signature
+/// words accumulated while its loads execute — plus the same timing and
+/// counters [`Execution`] carries.
+#[derive(Copy, Clone, Debug, Default, Eq, PartialEq)]
+pub struct SignatureRun {
+    /// Cycles of the original test (the slowest thread's tally).
+    pub test_cycles: u64,
+    /// Extra cycles spent in instrumented signature computation.
+    pub instr_cycles: u64,
+    /// Execution counters.
+    pub stats: ExecStats,
+    /// Some load observed a value outside its candidate list: the assertion
+    /// at the tail of its branch chain fired (§3.1), and the words are not
+    /// a signature. Exactly when [`SignatureSchema::encode`] of the same
+    /// execution returns
+    /// [`EncodeError::UnexpectedValue`](mtc_instr::EncodeError::UnexpectedValue).
+    pub asserted: bool,
+}
+
 #[derive(Copy, Clone, Debug)]
 struct SpecEntry {
     idx: u32,
@@ -83,9 +109,112 @@ struct SpecEntry {
     stale: bool,
 }
 
+/// The line of an operation without an address (a fence).
+const NO_LINE: u32 = u32::MAX;
+
+/// Per-operation table entry, built once in [`Simulator::new`].
 #[derive(Copy, Clone, Debug)]
-struct LoadMeta {
-    dense: usize,
+struct OpInfo {
+    /// The cache line the operation accesses; [`NO_LINE`] for fences.
+    line: u32,
+    /// Ordered-before mask over the reorder window `w`: bit `w - 1 - d` is
+    /// set when the MCM orders the operation `d` places earlier
+    /// (`1 <= d < w`) before this one. Shifted right by `w - 1 - k` for the
+    /// operation at window offset `k`, bit `m` names the operation at
+    /// offset `m`.
+    pred: u64,
+}
+
+/// An instrumented load's signature slot, resolved by
+/// [`Simulator::instrument`].
+#[derive(Copy, Clone, Debug)]
+struct SigSlot {
+    /// Dense load index in schema order: the branch-predictor chain and
+    /// the candidate list.
+    dense: u32,
+    /// Global signature word (thread-major, as in
+    /// [`ExecutionSignature`](mtc_instr::ExecutionSignature)) the load adds
+    /// into.
+    word: u32,
+    /// Weight the observed candidate index is scaled by.
+    multiplier: u64,
+}
+
+/// Where the engine delivers what one run observes.
+trait Sink {
+    /// `op` committed (every instruction, fences included).
+    fn commit(&mut self, op: OpId);
+    /// The load `op` committed with `value`. On an instrumented simulator
+    /// `slot` is its signature slot and the index of `value` in its
+    /// candidate list (`None`: not a candidate).
+    fn load(&mut self, op: OpId, value: Value, slot: Option<(SigSlot, Option<usize>)>);
+}
+
+/// [`Simulator::run`]'s sink: buffers the reads-from pairs (built into a
+/// [`ReadsFrom`] once per run) and, when tracing, the commit order.
+struct Observe {
+    reads: Vec<(OpId, Value)>,
+    trace: Option<Vec<OpId>>,
+}
+
+impl Sink for Observe {
+    fn commit(&mut self, op: OpId) {
+        if let Some(trace) = &mut self.trace {
+            trace.push(op);
+        }
+    }
+
+    fn load(&mut self, op: OpId, value: Value, _: Option<(SigSlot, Option<usize>)>) {
+        self.reads.push((op, value));
+    }
+}
+
+/// [`Simulator::run_signature`]'s sink: adds `index × multiplier` into the
+/// load's word as each instrumented load commits, and flags the assertion
+/// when the value is not a candidate.
+struct Accumulate<'w> {
+    words: &'w mut [u64],
+    asserted: bool,
+}
+
+impl Sink for Accumulate<'_> {
+    fn commit(&mut self, _: OpId) {}
+
+    fn load(&mut self, _: OpId, _: Value, slot: Option<(SigSlot, Option<usize>)>) {
+        match slot {
+            Some((slot, Some(index))) => {
+                self.words[slot.word as usize] += index as u64 * slot.multiplier;
+            }
+            Some((_, None)) => self.asserted = true,
+            None => {}
+        }
+    }
+}
+
+/// Per-run engine state, kept across runs and re-initialized at the start
+/// of each (a crashed run leaves it mid-flight).
+#[derive(Clone, Debug)]
+struct RunState {
+    /// Per thread: the oldest uncommitted operation.
+    oldest: Vec<usize>,
+    /// Per thread: bit `k` is set when operation `oldest + k` committed.
+    committed: Vec<u64>,
+    /// Per thread: virtual time.
+    vtime: Vec<u64>,
+    /// Per thread: instrumented-chain cycles.
+    instr_cycles: Vec<u64>,
+    /// Per thread: speculatively performed loads.
+    spec: Vec<Vec<SpecEntry>>,
+    memory: SimMemory,
+    /// Per cache line the program touches: uncommitted operations to the
+    /// line among each thread's next `conflict_lookahead` operations
+    /// counted from its oldest uncommitted one (out-of-order commits inside
+    /// that span shrink it; they do not extend it), summed over threads.
+    /// Moved only when a thread commits.
+    pending: Vec<u32>,
+    /// `own[t * pending.len() + line]`: thread `t`'s share of
+    /// `pending[line]`.
+    own: Vec<u32>,
 }
 
 /// A simulated multi-core system executing one test program.
@@ -115,8 +244,10 @@ pub struct Simulator<'p> {
     config: SystemConfig,
     cache: CacheModel,
     predictor: Option<BranchPredictor>,
-    /// `load_meta[tid][idx]` for instrumented loads.
-    load_meta: Vec<Vec<Option<LoadMeta>>>,
+    /// `ops[tid][idx]`: the per-operation table.
+    ops: Vec<Vec<OpInfo>>,
+    /// `slots[tid][idx]` for instrumented loads.
+    slots: Vec<Vec<Option<SigSlot>>>,
     /// Candidate lists per dense load (schema order).
     candidates: Vec<Vec<Value>>,
     /// Signature words per thread (for epilogue timing).
@@ -126,50 +257,122 @@ pub struct Simulator<'p> {
     flush_overlay: bool,
     /// Record the commit order into [`Execution::trace`].
     record_trace: bool,
+    state: RunState,
 }
 
 impl<'p> Simulator<'p> {
-    /// Creates a simulator for `program` on a system described by `config`.
+    /// Creates a simulator for `program` on a system described by `config`,
+    /// building the per-operation tables the engine runs on.
     ///
     /// # Panics
     ///
-    /// Panics if the program has no threads.
+    /// Panics if the program has no threads or more than 64, or if the
+    /// scheduler's `reorder_window` or `conflict_lookahead` exceeds 64: the
+    /// engine tracks both windows against a `u64` mask of committed
+    /// operations, and the cache directory a `u64` mask of holders. Every
+    /// preset uses 8 or fewer.
     pub fn new(program: &'p Program, config: SystemConfig) -> Self {
-        assert!(program.num_threads() > 0, "program must have threads");
-        let cache = CacheModel::new(config.cache, program.num_threads());
+        let threads = program.num_threads();
+        assert!(threads > 0, "program must have threads");
+        assert!(
+            threads <= 64,
+            "the simulator supports at most 64 threads, got {threads}"
+        );
+        let sched = config.scheduler;
+        assert!(
+            sched.reorder_window <= 64,
+            "reorder_window must be at most 64, got {}",
+            sched.reorder_window
+        );
+        assert!(
+            sched.conflict_lookahead <= 64,
+            "conflict_lookahead must be at most 64, got {}",
+            sched.conflict_lookahead
+        );
+        let window = sched.reorder_window.max(1);
+        let layout = program.layout();
+        let ops: Vec<Vec<OpInfo>> = program
+            .threads()
+            .iter()
+            .map(|code| {
+                (0..code.len())
+                    .map(|i| {
+                        let mut pred = 0u64;
+                        for d in 1..window.min(i + 1) {
+                            if config.mcm.orders(&code[i - d], &code[i]) {
+                                pred |= 1 << (window - 1 - d);
+                            }
+                        }
+                        OpInfo {
+                            line: code[i].addr().map_or(NO_LINE, |a| layout.line_of(a)),
+                            pred,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let lines = ops
+            .iter()
+            .flatten()
+            .filter(|op| op.line != NO_LINE)
+            .map(|op| op.line as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let memory = match config.store_atomicity {
+            crate::StoreAtomicity::MultipleCopy => {
+                SimMemory::multiple_copy(program.num_addrs() as usize)
+            }
+            crate::StoreAtomicity::NonMultipleCopy {
+                max_propagation_cycles,
+            } => SimMemory::non_multiple_copy(program.num_addrs() as usize, max_propagation_cycles),
+        };
         Simulator {
             program,
+            cache: CacheModel::new(config.cache, threads),
             config,
-            cache,
             predictor: None,
-            load_meta: program
-                .threads()
-                .iter()
-                .map(|code| vec![None; code.len()])
-                .collect(),
+            slots: ops.iter().map(|code| vec![None; code.len()]).collect(),
+            ops,
             candidates: Vec::new(),
             words_per_thread: Vec::new(),
             flush_overlay: false,
             record_trace: false,
+            state: RunState {
+                oldest: vec![0; threads],
+                committed: vec![0; threads],
+                vtime: vec![0; threads],
+                instr_cycles: vec![0; threads],
+                spec: vec![Vec::new(); threads],
+                memory,
+                pending: vec![0; lines],
+                own: vec![0; threads * lines],
+            },
         }
     }
 
     /// Attaches an instrumentation schema: subsequent runs also account the
     /// cycles of signature computation (branch chains, predictor effects,
-    /// signature stores).
+    /// signature stores), and [`Simulator::run_signature`] accumulates the
+    /// schema's signature words.
     pub fn instrument(&mut self, schema: &SignatureSchema) {
         let mut chain_lengths = Vec::new();
         self.candidates.clear();
         self.words_per_thread.clear();
+        self.slots.iter_mut().for_each(|code| code.fill(None));
+        let mut word_base = 0;
         for thread in schema.threads() {
             self.words_per_thread.push(thread.num_words);
             for slot in &thread.loads {
                 let dense = chain_lengths.len();
                 chain_lengths.push(slot.cardinality());
                 self.candidates.push(slot.candidates.clone());
-                self.load_meta[slot.op.tid.index()][slot.op.idx as usize] =
-                    Some(LoadMeta { dense });
+                self.slots[slot.op.tid.index()][slot.op.idx as usize] = Some(SigSlot {
+                    dense: dense as u32,
+                    word: (word_base + slot.word) as u32,
+                    multiplier: slot.multiplier,
+                });
             }
+            word_base += thread.num_words;
         }
         self.predictor = Some(BranchPredictor::new(&chain_lengths));
     }
@@ -227,44 +430,114 @@ impl<'p> Simulator<'p> {
     /// coherence protocol; [`SimError::Livelock`] if the engine fails to
     /// make progress (a simulator defect, not a test outcome).
     pub fn run(&mut self, seed: u64) -> Result<Execution, SimError> {
-        let program = self.program;
-        let sched = self.config.scheduler;
-        let mcm = self.config.mcm;
-        let timing = self.config.timing;
-        let bug = self.config.bug;
-        let layout = program.layout();
-        let t_count = program.num_threads();
-        let lens: Vec<usize> = program.threads().iter().map(Vec::len).collect();
-        let total: usize = lens.iter().sum();
+        let ops = self.program.num_instrs();
+        let mut sink = Observe {
+            reads: Vec::with_capacity(ops),
+            trace: self.record_trace.then(|| Vec::with_capacity(ops)),
+        };
+        let run = self.execute(seed, &mut sink)?;
+        Ok(Execution {
+            reads_from: sink.reads.into_iter().collect(),
+            test_cycles: run.test_cycles,
+            instr_cycles: run.instr_cycles,
+            stats: run.stats,
+            trace: sink.trace.unwrap_or_default(),
+        })
+    }
+
+    /// Executes one iteration like [`Simulator::run`] — same seed, same
+    /// execution, same cycles and counters — but observes it the way the
+    /// instrumented test does on silicon: as each instrumented load
+    /// commits, its candidate index times its multiplier is added into its
+    /// signature word. `words` is resized to the schema's word count and
+    /// receives the execution signature's words (thread-major, as
+    /// [`SignatureSchema::encode`] lays them out), bit-identical to
+    /// encoding [`Execution::reads_from`]. Without [`Simulator::instrument`]
+    /// there are no words. No commit trace is recorded.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Simulator::run`].
+    pub fn run_signature(
+        &mut self,
+        seed: u64,
+        words: &mut Vec<u64>,
+    ) -> Result<SignatureRun, SimError> {
+        words.clear();
+        words.resize(self.words_per_thread.iter().sum(), 0);
+        let mut sink = Accumulate {
+            words,
+            asserted: false,
+        };
+        let run = self.execute(seed, &mut sink)?;
+        Ok(SignatureRun {
+            asserted: sink.asserted,
+            ..run
+        })
+    }
+
+    /// The engine body shared by both entry points; what the run observed
+    /// besides its timing and counters went to `sink`.
+    fn execute<S: Sink>(&mut self, seed: u64, sink: &mut S) -> Result<SignatureRun, SimError> {
+        let Simulator {
+            program,
+            config,
+            cache,
+            predictor,
+            ops,
+            slots,
+            candidates,
+            words_per_thread,
+            flush_overlay,
+            state,
+            ..
+        } = self;
+        let program: &Program = program;
+        let sched = config.scheduler;
+        let timing = config.timing;
+        let bug = config.bug;
+        let t_count = ops.len();
+        let window = sched.reorder_window.max(1);
+        let lookahead = sched.conflict_lookahead;
+        let total = program.num_instrs();
+        let RunState {
+            oldest,
+            committed,
+            vtime,
+            instr_cycles,
+            spec,
+            memory,
+            pending,
+            own,
+        } = state;
+        let lines = pending.len();
 
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut committed: Vec<Vec<bool>> = lens.iter().map(|&n| vec![false; n]).collect();
-        let mut oldest = vec![0usize; t_count];
-        let mut memory = match self.config.store_atomicity {
-            crate::StoreAtomicity::MultipleCopy => {
-                SimMemory::multiple_copy(program.num_addrs() as usize)
+        oldest.fill(0);
+        committed.fill(0);
+        instr_cycles.fill(0);
+        spec.iter_mut().for_each(Vec::clear);
+        memory.reset();
+        pending.fill(0);
+        own.fill(0);
+        for (t, code) in ops.iter().enumerate() {
+            for op in code.iter().take(lookahead) {
+                if op.line != NO_LINE {
+                    pending[op.line as usize] += 1;
+                    own[t * lines + op.line as usize] += 1;
+                }
             }
-            crate::StoreAtomicity::NonMultipleCopy {
-                max_propagation_cycles,
-            } => SimMemory::non_multiple_copy(program.num_addrs() as usize, max_propagation_cycles),
-        };
-        let mut spec: Vec<Vec<SpecEntry>> = vec![Vec::new(); t_count];
+        }
         // Barrier-release skew: each core gets a random head start, which
         // selects this run's racing access pairs.
-        let mut vtime: Vec<u64> = (0..t_count)
-            .map(|_| rng.gen_range(0..=sched.barrier_skew_cycles) as u64)
-            .collect();
-        let mut instr_cycles = vec![0u64; t_count];
-        let mut stats = ExecStats::default();
-        let mut exec = ReadsFrom::new();
-        let mut trace = Vec::new();
-        if self.record_trace {
-            trace.reserve(total);
+        for v in vtime.iter_mut() {
+            *v = rng.gen_range(0..=sched.barrier_skew_cycles) as u64;
         }
+        let mut stats = ExecStats::default();
         let mut last_thread = usize::MAX;
         let mut step = 0u64;
         let mut done = 0usize;
-        let max_steps = (total as u64 + 1).saturating_mul(self.config.max_steps_per_op);
+        let max_steps = (total as u64 + 1).saturating_mul(config.max_steps_per_op);
 
         while done < total {
             step += 1;
@@ -273,17 +546,21 @@ impl<'p> Simulator<'p> {
             }
 
             // Thread choice: the core with the smallest virtual time commits
-            // next (all cores run in parallel); the SC reference machine
-            // picks uniformly instead.
+            // next (all cores run in parallel; the first such core on a
+            // tie); the SC reference machine picks uniformly instead.
+            let runnable = |u: &usize| oldest[*u] < ops[*u].len();
             let t = match sched.kind {
                 SchedulerKind::UniformRandom => {
-                    let runnable: Vec<usize> =
-                        (0..t_count).filter(|&t| oldest[t] < lens[t]).collect();
-                    runnable[rng.gen_range(0..runnable.len())]
+                    let count = (0..t_count).filter(runnable).count();
+                    let pick = rng.gen_range(0..count);
+                    (0..t_count)
+                        .filter(runnable)
+                        .nth(pick)
+                        .expect("the pick is below the runnable count")
                 }
                 SchedulerKind::Lockstep => (0..t_count)
-                    .filter(|&t| oldest[t] < lens[t])
-                    .min_by_key(|&t| vtime[t])
+                    .filter(runnable)
+                    .min_by_key(|&u| vtime[u])
                     .expect("some thread is unfinished while done < total"),
             };
             if t != last_thread {
@@ -293,59 +570,97 @@ impl<'p> Simulator<'p> {
                 last_thread = t;
             }
             let code = &program.threads()[t];
+            let info = &ops[t];
+            let len = info.len();
 
-            // Operation choice within the LSQ-like window.
-            let window_end = (oldest[t] + sched.reorder_window.max(1)).min(lens[t]);
-            let mut ready: Vec<usize> = Vec::with_capacity(4);
-            for i in oldest[t]..window_end {
-                if committed[t][i] {
-                    continue;
-                }
-                let blocked =
-                    (oldest[t]..i).any(|j| !committed[t][j] && mcm.orders(&code[j], &code[i]));
-                if !blocked {
-                    ready.push(i);
+            // Operation choice within the LSQ-like window: op `base + k` is
+            // ready when it has not committed and every earlier op in the
+            // window that the MCM orders before it has.
+            let base = oldest[t];
+            let mask = committed[t];
+            let mut ready = 0u64;
+            for k in 0..(len - base).min(window) {
+                if (mask >> k) & 1 == 0 && (info[base + k].pred >> (window - 1 - k)) & !mask == 0 {
+                    ready |= 1 << k;
                 }
             }
-            debug_assert!(!ready.is_empty(), "oldest uncommitted op is always ready");
+            debug_assert!(ready != 0, "oldest uncommitted op is always ready");
+            let ready_count = ready.count_ones() as usize;
             // Out-of-order commit within the ready window. The primary
             // policy is latency-driven and deterministic — a younger ready
             // L1 hit overtakes an older miss, exactly how an OoO core hides
             // miss latency — with `reorder_prob` adding occasional
             // speculative free choice on top.
-            let i = if ready.len() > 1
+            let k = if ready_count > 1
                 && sched.reorder_prob > 0.0
                 && rng.gen_bool(sched.reorder_prob)
             {
-                ready[rng.gen_range(0..ready.len())]
-            } else if ready.len() > 1 {
-                let mut best = ready[0];
+                let mut rest = ready;
+                for _ in 0..rng.gen_range(0..ready_count) {
+                    rest &= rest - 1;
+                }
+                rest.trailing_zeros() as usize
+            } else if ready_count > 1 {
+                // The first ready op with the strictly lowest latency.
+                let mut best = 0;
                 let mut best_latency = u32::MAX;
-                for &j in &ready {
-                    let latency = match code[j].addr() {
-                        Some(addr) => self.cache.peek_latency(t, layout.line_of(addr)),
-                        None => 0,
+                let mut rest = ready;
+                while rest != 0 {
+                    let k = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    let line = info[base + k].line;
+                    let latency = if line == NO_LINE {
+                        0
+                    } else {
+                        cache.peek_latency(t, line)
                     };
                     if latency < best_latency {
-                        best = j;
+                        best = k;
                         best_latency = latency;
                     }
                 }
                 best
             } else {
-                ready[0]
+                ready.trailing_zeros() as usize
             };
+            let i = base + k;
 
-            // Commit.
-            committed[t][i] = true;
-            while oldest[t] < lens[t] && committed[t][oldest[t]] {
-                oldest[t] += 1;
+            // Commit: advance `oldest` past the committed prefix, then move
+            // the lookahead window's counters with it.
+            let mask = mask | (1 << k);
+            let advance = mask.trailing_ones() as usize;
+            let mask = mask.checked_shr(advance as u32).unwrap_or(0);
+            committed[t] = mask;
+            let new_base = base + advance;
+            oldest[t] = new_base;
+            if k < lookahead && info[i].line != NO_LINE {
+                pending[info[i].line as usize] -= 1;
+                own[t * lines + info[i].line as usize] -= 1;
             }
+            if advance > 0 {
+                // The ops that just entered the window (those that left it
+                // had committed).
+                let entered = (base + lookahead).max(new_base);
+                let end = (new_base + lookahead).min(len);
+                for (j, op) in info.iter().enumerate().take(end).skip(entered) {
+                    let line = op.line;
+                    if (mask >> (j - new_base)) & 1 == 0 && line != NO_LINE {
+                        pending[line as usize] += 1;
+                        own[t * lines + line as usize] += 1;
+                    }
+                }
+            }
+            // Line conflict: another thread has an uncommitted access to
+            // `line` among its next `lookahead` ops from its oldest — two
+            // cores are pulling on the same cache line concurrently, the
+            // coherence-contention condition that boosts scheduler
+            // randomness.
+            let line_conflict = |line: u32| pending[line as usize] > own[t * lines + line as usize];
+            let is_committed = |j: usize| j < new_base || (mask >> (j - new_base)) & 1 == 1;
             done += 1;
             stats.commits += 1;
-            if self.record_trace {
-                trace.push(OpId::new(Tid(t as u32), i as u32));
-            }
+            let op = OpId::new(Tid(t as u32), i as u32);
+            sink.commit(op);
 
             let mut dt = timing.base_cycles as u64;
             match code[i] {
@@ -362,9 +677,9 @@ impl<'p> Simulator<'p> {
                         }
                         _ => {
                             // Store-buffer forwarding, else memory.
-                            let fwd = (oldest[t].min(i)..i).rev().find_map(|j| match code[j] {
+                            let fwd = (new_base.min(i)..i).rev().find_map(|j| match code[j] {
                                 Instr::Store { addr: a, value }
-                                    if a == addr && !committed[t][j] =>
+                                    if a == addr && !is_committed(j) =>
                                 {
                                     Some(Value::from(value))
                                 }
@@ -373,57 +688,51 @@ impl<'p> Simulator<'p> {
                             fwd.unwrap_or_else(|| memory.read(addr.index(), t, vtime[t]))
                         }
                     };
-                    exec.record(OpId::new(Tid(t as u32), i as u32), value);
 
-                    let line = layout.line_of(addr);
-                    let out = self.cache.access(t, line, false, step);
+                    let line = info[i].line;
+                    let out = cache.access(t, line, false, step);
                     if out.hit {
                         stats.cache_hits += 1;
                     } else {
                         stats.cache_misses += 1;
                     }
-                    dt += self.cache.latency(&out) as u64;
-                    if line_conflict(
-                        program,
-                        &committed,
-                        &oldest,
-                        &lens,
-                        sched.conflict_lookahead,
-                        t,
-                        line,
-                    ) {
+                    dt += cache.latency(&out) as u64;
+                    if line_conflict(line) {
                         stats.contention_events += 1;
                         if sched.contention_backoff_cycles > 0 {
                             dt += rng.gen_range(0..=sched.contention_backoff_cycles) as u64;
                         }
                     }
-                    self.bug3_check(&mut rng, &out, t, &oldest, step)?;
+                    protocol_race(bug, &mut rng, &out, t, oldest, ops, step)?;
 
-                    if self.flush_overlay {
+                    if *flush_overlay {
                         // The flushed value's store: base cost plus an L1
                         // hit in the private log region.
-                        dt += timing.base_cycles as u64 + self.cache.config().hit_cycles as u64;
+                        dt += timing.base_cycles as u64 + cache.config().hit_cycles as u64;
                         stats.flush_stores += 1;
                     }
 
-                    // Instrumented chain timing.
-                    if let (Some(meta), Some(pred)) =
-                        (self.load_meta[t][i], self.predictor.as_mut())
-                    {
-                        let cands = &self.candidates[meta.dense];
-                        match cands.iter().position(|&c| c == value) {
-                            Some(idx) => {
-                                instr_cycles[t] += pred.chain_cost(meta.dense, idx, &timing);
-                            }
-                            None => {
+                    // Instrumented chain timing; the candidate index is
+                    // also what the signature accumulates.
+                    let slot = slots[t][i];
+                    let chain = match (slot, predictor.as_mut()) {
+                        (Some(slot), Some(pred)) => {
+                            let cands = &candidates[slot.dense as usize];
+                            let index = cands.iter().position(|&c| c == value);
+                            instr_cycles[t] += match index {
+                                Some(index) => pred.chain_cost(slot.dense as usize, index, &timing),
                                 // Assertion path: the whole chain runs and
                                 // the tail assertion fires.
-                                instr_cycles[t] += cands.len() as u64
-                                    * timing.chain_link_cycles as u64
-                                    + timing.mispredict_cycles as u64;
-                            }
+                                None => {
+                                    cands.len() as u64 * timing.chain_link_cycles as u64
+                                        + timing.mispredict_cycles as u64
+                                }
+                            };
+                            Some((slot, index))
                         }
-                    }
+                        _ => None,
+                    };
+                    sink.load(op, value, chain);
                 }
                 Instr::Store { addr, value } => {
                     memory.write(
@@ -434,37 +743,33 @@ impl<'p> Simulator<'p> {
                         t_count,
                         &mut rng,
                     );
-                    let line = layout.line_of(addr);
+                    let line = info[i].line;
 
-                    // Invalidation traffic vs speculative loads.
+                    // Invalidation traffic vs speculative loads. Empty
+                    // lists draw nothing.
                     for (u, entries) in spec.iter_mut().enumerate() {
+                        if entries.is_empty() {
+                            continue;
+                        }
+                        let u_code = &program.threads()[u];
                         if u == t {
                             // Own same-address stores force re-execution at
                             // commit (forwarding handles the value).
                             let before = entries.len();
-                            entries.retain(|e| {
-                                code_addr(&program.threads()[u][e.idx as usize]) != Some(addr)
-                            });
+                            entries.retain(|e| u_code[e.idx as usize].addr() != Some(addr));
                             stats.spec_squashed += (before - entries.len()) as u64;
                             continue;
                         }
-                        let u_code = &program.threads()[u];
                         let u_oldest = oldest[u];
                         // Bug 1's race window is only open while the S->M
                         // upgrade is in flight: the victim's *head* op is an
                         // uncommitted store to the invalidated line.
-                        let pending_store_to_line = u_oldest < lens[u]
-                            && matches!(u_code[u_oldest], Instr::Store { addr: a, .. }
-                                if layout.line_of(a) == line);
+                        let pending_store_to_line = u_oldest < u_code.len()
+                            && u_code[u_oldest].is_store()
+                            && ops[u][u_oldest].line == line;
                         let mut squashed = 0u64;
-                        let mut stale = 0u64;
                         for e in entries.iter_mut() {
-                            if e.stale {
-                                continue;
-                            }
-                            let e_addr = code_addr(&u_code[e.idx as usize])
-                                .expect("speculative entries are loads");
-                            if layout.line_of(e_addr) != line {
+                            if e.stale || ops[u][e.idx as usize].line != line {
                                 continue;
                             }
                             let keep_stale = match bug {
@@ -478,8 +783,8 @@ impl<'p> Simulator<'p> {
                                 _ => false,
                             };
                             if keep_stale {
+                                // Counted at commit via `spec_stale`.
                                 e.stale = true;
-                                stale += 1;
                             } else {
                                 e.idx = u32::MAX; // mark for removal
                                 squashed += 1;
@@ -489,39 +794,29 @@ impl<'p> Simulator<'p> {
                             entries.retain(|e| e.idx != u32::MAX);
                         }
                         stats.spec_squashed += squashed;
-                        let _ = stale; // counted at commit via spec_stale
                     }
 
-                    let out = self.cache.access(t, line, true, step);
+                    let out = cache.access(t, line, true, step);
                     if out.hit {
                         stats.cache_hits += 1;
                     } else {
                         stats.cache_misses += 1;
                     }
-                    dt += self.cache.latency(&out) as u64;
-                    if line_conflict(
-                        program,
-                        &committed,
-                        &oldest,
-                        &lens,
-                        sched.conflict_lookahead,
-                        t,
-                        line,
-                    ) {
+                    dt += cache.latency(&out) as u64;
+                    if line_conflict(line) {
                         stats.contention_events += 1;
                         if sched.contention_backoff_cycles > 0 {
                             dt += rng.gen_range(0..=sched.contention_backoff_cycles) as u64;
                         }
                     }
-                    self.bug3_check(&mut rng, &out, t, &oldest, step)?;
+                    protocol_race(bug, &mut rng, &out, t, oldest, ops, step)?;
                 }
             }
 
             // Core speed asymmetry (big.LITTLE): slow-cluster cores pay a
             // fixed factor on every operation.
-            if !self.config.core_speed_percent.is_empty() {
-                let speed =
-                    self.config.core_speed_percent[t % self.config.core_speed_percent.len()] as u64;
+            if !config.core_speed_percent.is_empty() {
+                let speed = config.core_speed_percent[t % config.core_speed_percent.len()] as u64;
                 dt = (dt * speed).div_ceil(100);
             }
 
@@ -548,9 +843,8 @@ impl<'p> Simulator<'p> {
             // bug needs them; correct squashing makes them invisible
             // otherwise).
             if bug.needs_speculation() && rng.gen_bool(sched.spec_prob) {
-                let window_end = (oldest[t] + sched.reorder_window.max(1)).min(lens[t]);
-                for j in oldest[t]..window_end {
-                    if committed[t][j] {
+                for j in new_base..(new_base + window).min(len) {
+                    if is_committed(j) {
                         continue;
                     }
                     let Instr::Load { addr } = code[j] else {
@@ -561,8 +855,8 @@ impl<'p> Simulator<'p> {
                     }
                     // Loads that would forward from the store buffer cannot
                     // be invalidated; skip them.
-                    let forwards = (oldest[t]..j).any(|k| {
-                        !committed[t][k]
+                    let forwards = (new_base..j).any(|k| {
+                        !is_committed(k)
                             && matches!(code[k], Instr::Store { addr: a, .. } if a == addr)
                     });
                     if forwards {
@@ -580,81 +874,47 @@ impl<'p> Simulator<'p> {
         }
 
         // Signature epilogue: initialize + store each signature word.
-        for (t, &words) in self.words_per_thread.iter().enumerate() {
+        for (t, &words) in words_per_thread.iter().enumerate() {
             instr_cycles[t] += words as u64 * timing.sig_store_cycles as u64;
         }
 
-        Ok(Execution {
-            reads_from: exec,
+        Ok(SignatureRun {
             test_cycles: vtime.iter().copied().max().unwrap_or(0),
             instr_cycles: instr_cycles.iter().copied().max().unwrap_or(0),
             stats,
-            trace,
+            asserted: false,
         })
     }
-
-    fn bug3_check(
-        &self,
-        rng: &mut SmallRng,
-        out: &crate::AccessOutcome,
-        committer: usize,
-        oldest: &[usize],
-        step: u64,
-    ) -> Result<(), SimError> {
-        let BugKind::ProtocolRace { prob } = self.config.bug else {
-            return Ok(());
-        };
-        let Some(evicted) = out.evicted_dirty else {
-            return Ok(());
-        };
-        let layout = self.program.layout();
-        // A writeback (PUTX) is in flight; does any other core have an
-        // imminent request (GETX/GETS) for the same line?
-        let racing = self.program.threads().iter().enumerate().any(|(u, code)| {
-            u != committer
-                && oldest[u] < code.len()
-                && code_addr(&code[oldest[u]]).is_some_and(|a| layout.line_of(a) == evicted)
-        });
-        if racing && rng.gen_bool(prob) {
-            return Err(SimError::ProtocolDeadlock {
-                step,
-                line: evicted,
-            });
-        }
-        Ok(())
-    }
 }
 
-fn code_addr(instr: &Instr) -> Option<mtc_isa::Addr> {
-    instr.addr()
-}
-
-/// Returns `true` when another thread's imminent (next `lookahead`
-/// uncommitted) operations also target `line` — two cores are pulling on
-/// the same cache line concurrently, the coherence-contention condition
-/// that boosts scheduler randomness.
-fn line_conflict(
-    program: &Program,
-    committed: &[Vec<bool>],
+/// Bug 3: a dirty writeback (`PUTX`) is in flight; when another core's
+/// imminent request (`GETX`/`GETS`, its oldest op) targets the same line,
+/// the race wedges the protocol with probability `prob`.
+fn protocol_race(
+    bug: BugKind,
+    rng: &mut SmallRng,
+    out: &crate::AccessOutcome,
+    committer: usize,
     oldest: &[usize],
-    lens: &[usize],
-    lookahead: usize,
-    t: usize,
-    line: u32,
-) -> bool {
-    if lookahead == 0 {
-        return false;
+    ops: &[Vec<OpInfo>],
+    step: u64,
+) -> Result<(), SimError> {
+    let BugKind::ProtocolRace { prob } = bug else {
+        return Ok(());
+    };
+    let Some(evicted) = out.evicted_dirty else {
+        return Ok(());
+    };
+    let racing = ops.iter().enumerate().any(|(u, code)| {
+        u != committer && oldest[u] < code.len() && code[oldest[u]].line == evicted
+    });
+    if racing && rng.gen_bool(prob) {
+        return Err(SimError::ProtocolDeadlock {
+            step,
+            line: evicted,
+        });
     }
-    let layout = program.layout();
-    (0..lens.len()).any(|u| {
-        if u == t {
-            return false;
-        }
-        let code = &program.threads()[u];
-        let end = (oldest[u] + lookahead).min(lens[u]);
-        (oldest[u]..end)
-            .any(|j| !committed[u][j] && code[j].addr().is_some_and(|a| layout.line_of(a) == line))
-    })
+    Ok(())
 }
 
 #[cfg(test)]
@@ -675,6 +935,91 @@ mod tests {
         fn assert_clone<T: Clone>() {}
         assert_send::<Simulator<'static>>();
         assert_clone::<Simulator<'static>>();
+    }
+
+    #[test]
+    #[should_panic(expected = "reorder_window must be at most 64")]
+    fn reorder_windows_wider_than_a_mask_are_rejected() {
+        let t = litmus::message_passing();
+        let mut config = SystemConfig::arm_soc();
+        config.scheduler.reorder_window = 65;
+        Simulator::new(&t.program, config);
+    }
+
+    #[test]
+    #[should_panic(expected = "conflict_lookahead must be at most 64")]
+    fn lookaheads_wider_than_a_mask_are_rejected() {
+        let t = litmus::message_passing();
+        let mut config = SystemConfig::arm_soc();
+        config.scheduler.conflict_lookahead = 65;
+        Simulator::new(&t.program, config);
+    }
+
+    #[test]
+    fn full_width_windows_commit_every_op_in_a_legal_order() {
+        // 64-wide windows exercise every shift of the commit masks: the
+        // pick at offset 63, an advance of 64, counters over 64 ops.
+        use mtc_gen::{generate, TestConfig};
+        use mtc_isa::IsaKind;
+        let p = generate(&TestConfig::new(IsaKind::Arm, 3, 100, 8).with_seed(2));
+        let mut config = SystemConfig::arm_soc().with_aggressive_interleaving();
+        config.scheduler.reorder_window = 64;
+        config.scheduler.conflict_lookahead = 64;
+        let mut sim = Simulator::new(&p, config);
+        sim.set_trace(true);
+        for seed in 0..20 {
+            let exec = sim.run(seed).unwrap();
+            assert_eq!(exec.trace.len(), p.num_instrs());
+            let position: std::collections::HashMap<OpId, usize> = exec
+                .trace
+                .iter()
+                .enumerate()
+                .map(|(at, &op)| (op, at))
+                .collect();
+            for (op, instr) in p.iter_ops() {
+                for later_idx in (op.idx + 1)..p.thread_len(op.tid) as u32 {
+                    let later = OpId::new(op.tid, later_idx);
+                    if sim.config().mcm.orders(instr, p.instr(later).unwrap()) {
+                        assert!(position[&op] < position[&later], "{op} before {later}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_signature_accumulates_what_encode_computes() {
+        use mtc_gen::{generate, TestConfig};
+        use mtc_instr::{analyze, SourcePruning};
+        use mtc_isa::IsaKind;
+        let p = generate(&TestConfig::new(IsaKind::Arm, 4, 40, 8).with_seed(21));
+        for (pruning, expect_assertions) in [
+            (SourcePruning::none(), false),
+            (SourcePruning::with_lsq_window(1), true),
+        ] {
+            let schema = SignatureSchema::build(&p, &analyze(&p, &pruning), 32);
+            let mut reference = Simulator::new(&p, SystemConfig::arm_soc());
+            reference.instrument(&schema);
+            let mut accumulating = reference.clone();
+            let mut words = Vec::new();
+            let mut asserted = 0;
+            for seed in 0..200 {
+                let exec = reference.run(seed).unwrap();
+                let run = accumulating.run_signature(seed, &mut words).unwrap();
+                assert_eq!(
+                    (run.test_cycles, run.instr_cycles, run.stats),
+                    (exec.test_cycles, exec.instr_cycles, exec.stats)
+                );
+                match schema.encode(&exec.reads_from) {
+                    Ok(sig) => assert_eq!((sig.words(), run.asserted), (&words[..], false)),
+                    Err(_) => {
+                        assert!(run.asserted);
+                        asserted += 1;
+                    }
+                }
+            }
+            assert_eq!(asserted > 0, expect_assertions, "{pruning:?}");
+        }
     }
 
     #[test]

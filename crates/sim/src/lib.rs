@@ -21,6 +21,21 @@
 //! * **Exhaustive oracle** — [`enumerate_outcomes`] lists every allowed
 //!   execution of litmus-sized programs, grounding conformance tests.
 //!
+//! Two entry points run one iteration. [`Simulator::run`] returns the
+//! [`Execution`] — the reads-from record, cycles, counters and optional
+//! commit trace — for analysis and figures. [`Simulator::run_signature`]
+//! runs the identical execution but accumulates the signature words as
+//! each instrumented load commits, as the instrumented test does on
+//! silicon (§3.1–3.2); the campaign collects through it. Both run on
+//! tables built once per program (each operation's cache line and
+//! ordered-before mask, each load's signature slot), a holder directory in
+//! the cache model and per-line contention counters, with every RNG draw
+//! and tie-break of the reference engine kept, so outcomes are pinned per
+//! (config, seed) by the execution digest in
+//! `crates/bench/tests/sim_digest.rs`. The windows are bounded by their
+//! `u64` masks: `reorder_window` and `conflict_lookahead` at most 64, and at
+//! most 64 threads.
+//!
 //! # Example
 //!
 //! ```
@@ -36,6 +51,27 @@
 //!     distinct.insert(sim.run(seed)?.reads_from);
 //! }
 //! assert!(distinct.len() >= 2);
+//! # Ok::<(), mtc_sim::SimError>(())
+//! ```
+//!
+//! The campaign's path, signatures accumulated at commit:
+//!
+//! ```
+//! use mtc_instr::{analyze, SignatureSchema, SourcePruning};
+//! use mtc_isa::litmus;
+//! use mtc_sim::{Simulator, SystemConfig};
+//!
+//! let mp = litmus::message_passing();
+//! let analysis = analyze(&mp.program, &SourcePruning::none());
+//! let schema = SignatureSchema::build(&mp.program, &analysis, 32);
+//! let mut sim = Simulator::new(&mp.program, SystemConfig::arm_soc());
+//! sim.instrument(&schema);
+//! let mut twin = sim.clone();
+//! let mut words = Vec::new();
+//! let run = sim.run_signature(7, &mut words)?;
+//! let exec = twin.run(7)?;
+//! assert!(!run.asserted);
+//! assert_eq!(schema.encode(&exec.reads_from).unwrap().words(), &words[..]);
 //! # Ok::<(), mtc_sim::SimError>(())
 //! ```
 
@@ -57,7 +93,7 @@ pub use config::{
     CacheConfig, OsConfig, SchedulerConfig, SchedulerKind, StoreAtomicity, SystemConfig,
     TimingConfig, DEFAULT_MAX_STEPS_PER_OP,
 };
-pub use engine::{ExecStats, Execution, Simulator};
+pub use engine::{ExecStats, Execution, SignatureRun, Simulator};
 pub use error::SimError;
 pub use exhaustive::{enumerate_outcomes, ExhaustError};
 pub use memory::SimMemory;

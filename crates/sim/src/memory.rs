@@ -62,6 +62,15 @@ impl SimMemory {
         }
     }
 
+    /// Re-initializes every word — the per-iteration initialization — while
+    /// keeping the allocations.
+    pub fn reset(&mut self) {
+        match &mut self.repr {
+            Repr::MultipleCopy(words) => words.fill(Value::INIT),
+            Repr::NonMultipleCopy { stores, .. } => stores.iter_mut().for_each(Vec::clear),
+        }
+    }
+
     /// The value core `core` observes at `addr` at virtual time `now`.
     pub fn read(&self, addr: usize, core: usize, now: u64) -> Value {
         match &self.repr {
@@ -128,6 +137,21 @@ mod tests {
         }
         assert_eq!(m.read(1, 0, 10), Value::INIT);
         assert!(!m.is_non_multiple_copy());
+    }
+
+    #[test]
+    fn reset_restores_the_initial_value_everywhere() {
+        let mut r = rng();
+        for mut m in [
+            SimMemory::multiple_copy(2),
+            SimMemory::non_multiple_copy(2, 10),
+        ] {
+            m.write(1, Value(5), 0, 0, 2, &mut r);
+            m.reset();
+            for core in 0..2 {
+                assert_eq!(m.read(1, core, 100), Value::INIT);
+            }
+        }
     }
 
     #[test]
